@@ -31,8 +31,9 @@ print(f"finite-type gap = {gap.gap:.6f} over {gap.pair_count} difference "
       f"vectors, epsilon = {gap.epsilon:.6f}")
 print(f"(minimum point separation is {min_separation(S):.6f})")
 
-# step 3..6 run inside recover_crystal: candidate translations from the
-# difference set, exact verification on the shrunken core, greedy basis,
+# step 3..6 run inside recover_crystal: candidate translations c - a from
+# the anchor a nearest the origin (a period T with |T| <= r maps a onto a
+# window point), exact verification on the shrunken core, greedy basis,
 # rational closure, residues, and the two-sided inclusion check
 dec = recover_crystal(S, RunConfig())
 print(f"verdict: {'crystal' if dec.verified else 'no crystal'}")

@@ -3,9 +3,11 @@
 The almost-period test is the bijection criterion: tau is an epsilon-almost
 period of the window when the core (points that cannot be pushed past the
 window edge by tau) injects into the window with every displacement
-|a + tau - b| < epsilon. Candidates come from the difference set, an
-epsilon-almost period snaps to the unique nearby difference vector, and the
-snapped vector is accepted only if it translates the whole core exactly.
+|a + tau - b| < epsilon. Candidates are the differences c - a from one
+anchor a, the window point nearest the origin (a period T with |T| <= r
+maps a onto a window point); an epsilon-almost period snaps to the unique
+nearby anchor difference, and the snapped vector is accepted only if it
+translates the whole core exactly.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from .errors import (
     NotExactPeriod,
     WindowTooSmall,
 )
-from .geometry import difference_vectors
+# unused here since candidates come from the anchor; kept importable under
+# this module, where the benchmark tracer (perfbench/spans.py) wraps it
+from .geometry import difference_vectors  # noqa: F401
 from .pointset import TOL_EQ, WindowedSet, min_separation
 
 #: Exact-period residual budget: one float addition of rounding on top of
@@ -206,30 +210,55 @@ def brute_force_almost_period(S: WindowedSet, tau, epsilon: float) -> bool:
 def candidate_almost_periods(
     S: WindowedSet, epsilon: float, r_min: float, r_max: float
 ) -> np.ndarray:
-    """Difference vectors with r_min <= |v| <= r_max, shortest first.
+    """Anchor differences c - a with r_min <= |c - a| <= r_max, shortest first.
 
-    Every exact period of the set is a difference vector, and every
-    epsilon/2-almost period lies within epsilon/2 of one, so this list
-    exhausts the useful candidates. Ties in |v| break lexicographically.
+    The anchor a is the window point nearest the origin (the one
+    snap_to_period uses). A period T with |T| <= r_max maps a onto a window
+    point, so every exact period is in the list; an epsilon/2-almost period
+    moves a to within epsilon/2 of a window point c, so it lies within
+    epsilon/2 of the entry c - a. Both need a inside the core for r_max:
+    WindowTooSmall when |a| + r_max + epsilon >= R. Ties in |v| break
+    lexicographically.
     """
-    if float(epsilon) <= 0:
+    epsilon = float(epsilon)
+    if epsilon <= 0:
         raise ConfigError("epsilon must be positive")
     r_min, r_max = float(r_min), float(r_max)
     if not 0 < r_min < r_max:
         raise ConfigError("need 0 < r_min < r_max")
     if r_max > S.radius / 2 + TOL_EQ:
         raise ConfigError(f"r_max {r_max:g} exceeds R/2 = {S.radius / 2:g}")
-    V = difference_vectors(S, r_max)
-    return _annulus_sorted(V.vectors, r_min, r_max)
+    if len(S) == 0:
+        raise WindowTooSmall("no anchor in an empty window")
+    anchor_idx = int(np.argmin(S.norms()))
+    a = S.points[anchor_idx]
+    a_norm = float(S.norms()[anchor_idx])
+    if a_norm + r_max + epsilon >= S.radius:
+        raise WindowTooSmall(
+            f"anchor at |a| = {a_norm:g} is outside the core for "
+            f"r_max {r_max:g} (R = {S.radius:g})"
+        )
+    near = np.asarray(S.tree().query_ball_point(a, r_max + TOL_EQ),
+                      dtype=np.intp)
+    return _annulus_sorted(S.points[near] - a, r_min, r_max)
 
 
 def _annulus_sorted(vectors: np.ndarray, r_min: float, r_max: float) -> np.ndarray:
-    """Rows with r_min <= |v| <= r_max ordered by (|v|, lexicographic)."""
+    """Rows with r_min <= |v| <= r_max ordered by (|v|, lexicographic).
+
+    Lengths within TOL_EQ of the next shorter one tie: c - a and the
+    mirror c' - a of the same shell differ in their last bits, and the
+    order must not depend on rounding.
+    """
     norms = np.linalg.norm(vectors, axis=1)
     keep = (norms >= r_min - TOL_EQ) & (norms <= r_max + TOL_EQ)
     vecs = vectors[keep]
     norms = norms[keep]
-    keys = tuple(vecs[:, k] for k in range(vecs.shape[1] - 1, -1, -1)) + (norms,)
+    by_norm = np.argsort(norms, kind="stable")
+    steps = np.diff(norms[by_norm], prepend=norms[by_norm[:1]]) > TOL_EQ
+    shell = np.empty(len(norms), dtype=np.intp)
+    shell[by_norm] = np.cumsum(steps)
+    keys = tuple(vecs[:, k] for k in range(vecs.shape[1] - 1, -1, -1)) + (shell,)
     return np.ascontiguousarray(vecs[np.lexsort(keys)])
 
 

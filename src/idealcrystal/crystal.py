@@ -1,11 +1,13 @@
 """Lattice arithmetic, residue extraction, and crystal recovery.
 
 The pipeline mirrors the constructive argument: measure the denseness
-radius and the difference-set gap, harvest candidate translations from the
-difference set, keep the ones that survive exact verification, select p
-independent periods (cone condition or shortest-independent greedy), close
-the period collection into a lattice by rational refinement, cut residues
-near the origin, and verify both inclusions of A = L + F on the window.
+radius and the difference-set gap, harvest candidate translations as the
+differences c - a from one anchor a near the origin (a period T with
+|T| <= r maps a onto a window point), keep the ones that survive exact
+verification, select p independent periods (cone condition or
+shortest-independent greedy), close the period collection into a lattice
+by rational refinement, cut residues near the origin, and verify both
+inclusions of A = L + F on the window.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .almost_period import (
     TOL_EXACT,
     Period,
     Rejection,
-    _annulus_sorted,
     candidate_almost_periods,
     is_almost_period,
     snap_to_period,
@@ -33,13 +34,18 @@ from .errors import (
     ConfigError,
     DegenerateGap,
     EmptyWindow,
-    NoRationalFit,
     NoSnapTarget,
     NotExactPeriod,
     SingularBasis,
     WindowTooSmall,
 )
-from .geometry import denseness_radius, difference_vectors, finite_type_gap
+# difference_vectors is not called here (finite_type_gap runs the only pair
+# sweep); the benchmark tracer (perfbench/spans.py) wraps it under this module
+from .geometry import (  # noqa: F401
+    denseness_radius,
+    difference_vectors,
+    finite_type_gap,
+)
 from .pointset import TOL_EQ, WindowedSet, min_separation, window_restrict
 
 log = logging.getLogger(__name__)
@@ -47,17 +53,18 @@ log = logging.getLogger(__name__)
 #: Integrality tolerance for lattice coordinates.
 COORD_TOL = 1e-6
 
-#: Candidate sets larger than this are harvested from a concentric
-#: subwindow; verification always runs on the full window.
+#: Windows larger than this run the finite-type gap's pair sweep on a
+#: concentric subwindow.
 _SUBWINDOW_CAP = 60000
 
-#: Hard cap on candidate translations tested per run. Sets that are not
-#: finite type grow their difference set quadratically with the window;
+#: Hard cap on candidate translations tested per run. Every anchor
+#: difference is a candidate and each screen queries a core that grows
+#: with the window, so a set with no periods costs time quadratic in it;
 #: past this many shortest candidates with no verified period the verdict
 #: cannot change, and the cap is recorded in the diagnostics.
 _MAX_CANDIDATES = 20000
 
-#: Target for points-times-neighbours in the candidate pair sweep.
+#: Target for points-times-neighbours in the finite-type gap's pair sweep.
 _PAIR_BUDGET = 4_000_000
 
 #: Minimal sine of the angle between a new greedy basis vector and the
@@ -269,19 +276,6 @@ def refine_lattice(L: Lattice, periods, max_denominator: int = 64) -> Lattice:
             T.tolist(), max_denominator, err,
         )
     return L
-
-
-def _rational_fit_or_raise(L: Lattice, T, max_denominator: int) -> None:
-    """Raise NoRationalFit when T is incommensurate with L; used by callers
-    that want the strict error instead of the drop-and-warn behaviour."""
-    coords = L.coords(np.asarray(T, dtype=np.float64))
-    fracs = [Fraction(float(c)).limit_denominator(max_denominator) for c in coords]
-    err = max(abs(float(f) - float(c)) for f, c in zip(fracs, coords))
-    if err > L.coord_tol:
-        raise NoRationalFit(
-            f"no rational coordinates with denominator <= {max_denominator} "
-            f"(residual {err:.3e})"
-        )
 
 
 def _lattice_points(basis: np.ndarray, inv: np.ndarray, radius: float):
@@ -521,14 +515,15 @@ def _select_basis(periods: list[Period], p: int, cfg: RunConfig):
 
 
 def _harvest_source(S: WindowedSet, D: float, r_cur: float) -> WindowedSet:
-    """Concentric subwindow the pair sweep for differences up to r_cur runs
-    on, sized so points-times-neighbours stays near _PAIR_BUDGET.
+    """Concentric subwindow the finite-type gap's pair sweep for differences
+    up to r_cur runs on, sized so points-times-neighbours stays near
+    _PAIR_BUDGET. Candidate periods come from the anchor harvest instead, so
+    this serves only the gap.
 
     A window of radius 0.6 r_cur + 4D still realizes every translation
     symmetry of length up to r_cur near its centre (place the pair
     astride the origin; relative denseness supplies the endpoints), so
-    shrinking below r_cur loses only location-specific differences, which
-    verification would discard anyway.
+    shrinking below r_cur loses only location-specific differences.
     """
     n = len(S)
     nbrs = max(1.0, n * min(r_cur / S.radius, 1.0) ** S.dim)
@@ -564,11 +559,14 @@ def _screen_source(S: WindowedSet, r_cur: float) -> WindowedSet:
 def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
     """Full recovery pipeline; CrystalDecomposition or NoCrystalEvidence.
 
-    Candidate radii escalate (doubling from 4D up to R/2) until the swept
-    annulus covers the covering radius of the refined basis (any period
-    missing from the group would have a coset representative that short),
-    so a skewed or composite period group is closed before the verdict.
-    An explicit r_max disables escalation.
+    Candidates are the anchor differences c - a, a the window point nearest
+    the origin: a period T with |T| <= r maps a onto a window point. They
+    are harvested once up to the largest ladder radius and screened one
+    annulus per step, each exactly once. Candidate radii escalate (doubling
+    from 4D up to R/2) until the swept annulus covers the covering radius
+    of the refined basis (any period missing from the group would have a
+    coset representative that short), so a skewed or composite period group
+    is closed before the verdict. An explicit r_max disables escalation.
     """
     cfg = (config or RunConfig()).validate()
     diag: dict = {"strategy": cfg.strategy, "n_points": len(S)}
@@ -617,10 +615,35 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
         while ladder[-1] < R / 2 * (1 - 1e-12):
             ladder.append(min(2 * ladder[-1], R / 2))
 
+    # paper-cone needs a verified period inside every axis cone, and cone
+    # members are longer than 3p^2*scale; a candidate is no longer than the
+    # top ladder radius (plus the merge tolerance), so a ladder that stops
+    # short of the cones can never succeed
+    cone_lo = cfg.cone_scale * 3.0 * p * p
+    if cfg.strategy == "paper-cone" and p >= 2 and ladder[-1] + TOL_EQ <= cone_lo:
+        diag.update(n_candidates=0, n_periods=0)
+        return NoCrystalEvidence(
+            stage="basis-selection",
+            reason=(
+                f"every axis cone is empty: cone members are longer than "
+                f"3p^2*cone_scale = {cone_lo:g}, candidates at most "
+                f"{ladder[-1]:g}"
+            ),
+            diagnostics=diag,
+        )
+    try:
+        harvest = candidate_almost_periods(S, eps, r_min, ladder[-1])
+    except WindowTooSmall as e:
+        return NoCrystalEvidence(
+            stage="candidate-generation", reason=str(e), diagnostics=diag
+        )
+    # each candidate belongs to the first ladder step whose radius covers it
+    step_of = np.searchsorted(np.asarray(ladder) + TOL_EQ,
+                              np.linalg.norm(harvest, axis=1))
+
     periods: list[Period] = []
     periods_mat = np.zeros((0, p))
     lat_prov: Lattice | None = None
-    seen: set = set()
     n_candidates = 0
     best_failure: NoCrystalEvidence | None = None
     success: CrystalDecomposition | None = None
@@ -632,21 +655,13 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
         set(range(1, p + 1)) if cfg.strategy == "paper-cone" and p >= 2
         else set()
     )
-    cone_lo = cfg.cone_scale * 3.0 * p * p
 
     for step, r_cur in enumerate(ladder):
         if capped:
             break
         diag["r_max_reached"] = r_cur
         diag["ladder_steps"] = step + 1
-        src = _harvest_source(S, D, r_cur)
-        if r_cur <= src.radius / 2 + TOL_EQ:
-            cands = candidate_almost_periods(src, eps, r_min, r_cur)
-        else:
-            # harvest window narrower than 2 r_cur: sweep all of its pair
-            # differences and keep the annulus directly
-            V = difference_vectors(src, min(r_cur, 2 * src.radius))
-            cands = _annulus_sorted(V.vectors, r_min, r_cur)
+        cands = harvest[step_of == step]
         scr = _screen_source(S, r_cur)
         grew = False
         for v in cands:
@@ -654,10 +669,6 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
                 capped = True
                 diag["candidates_capped"] = True
                 break
-            key = tuple(np.round(v / (4 * TOL_EQ)).astype(np.int64).tolist())
-            if key in seen:
-                continue
-            seen.add(key)
             n_candidates += 1
             if len(periods_mat) and float(
                 np.min(np.linalg.norm(periods_mat - v, axis=1))

@@ -72,7 +72,3 @@ class AmplitudeTooLarge(IdealCrystalError):
 
 class EmptyAcceptanceWindow(IdealCrystalError):
     """Cut-and-project acceptance interval is empty."""
-
-
-class NoRationalFit(IdealCrystalError):
-    """Period has no rational lattice coordinates within the denominator cap."""

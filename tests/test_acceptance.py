@@ -219,7 +219,14 @@ def test_criterion_4_fibonacci_negative_control():
     assert out.stage == "period-verification"
     assert out.diagnostics["n_periods"] == 0
     assert "candidates_capped" not in out.diagnostics
-    assert out.diagnostics["n_candidates"] > 500
+    # every anchor difference in the annulus was examined and none verified:
+    # the anchor a is the point nearest the origin, and every period T with
+    # |T| <= r_max would map it onto a window point c
+    a = S.points[int(np.argmin(S.norms()))]
+    d = np.linalg.norm(S.points - a, axis=1)
+    r_min = out.diagnostics["r_min"]
+    in_annulus = (d > 0) & (d >= r_min) & (d <= 500.0)
+    assert out.diagnostics["n_candidates"] == int(in_annulus.sum())
     print(f"criterion 4 Fibonacci negative control: PASS "
           f"(gap {1.618034:.6f} at R in 50..200, {len(S)} points, "
           f"0 verified periods among {out.diagnostics['n_candidates']} candidates)")

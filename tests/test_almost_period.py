@@ -1,7 +1,8 @@
 """Almost-period matching, candidate generation, snapping, verification.
 
 The backtracking injection search is the oracle for the matcher; candidate
-lists are checked against in-line shell enumeration.
+lists are checked against in-line shell enumeration and, for exhaustiveness,
+against the periods found by sweeping the whole difference set.
 """
 
 import numpy as np
@@ -16,10 +17,13 @@ from idealcrystal import (
     NoSnapTarget,
     NotExactPeriod,
     Rejection,
+    TOL_EQ,
     WindowTooSmall,
     WindowedSet,
     brute_force_almost_period,
     candidate_almost_periods,
+    difference_vectors,
+    gen_ideal_crystal,
     is_almost_period,
     snap_to_period,
     verify_exact_period,
@@ -176,6 +180,57 @@ def test_candidates_annulus_and_order():
     got = candidate_almost_periods(S, 0.3, 1.5, 6.0)
     assert got.ravel().tolist() == [-2.0, 2.0, -3.0, 3.0, -4.0, 4.0,
                                     -5.0, 5.0, -6.0, 6.0]
+
+
+def _two_coset_plane(R):
+    """The README's two-coset plane."""
+    return gen_ideal_crystal([[1.0, 0.0], [0.3, 1.1]],
+                             [[0.0, 0.0], [0.5, 0.55]], R)
+
+
+def _vacancy_plane(R=20.0):
+    """Two-coset plane minus the point nearest (0.85 R, 0)."""
+    S = _two_coset_plane(R)
+    k = int(np.argmin(np.linalg.norm(S.points - [0.85 * R, 0.0], axis=1)))
+    return WindowedSet(np.delete(S.points, k, axis=0), R)
+
+
+def _difference_set_periods(S, r_min, r):
+    """Reference: every difference vector in the annulus that passes exact
+    verification, found by sweeping all pairs of the window."""
+    V = difference_vectors(S, r).vectors
+    norms = np.linalg.norm(V, axis=1)
+    V = V[(norms >= r_min - TOL_EQ) & (norms <= r + TOL_EQ)]
+    return [v for v in V if isinstance(verify_exact_period(S, v), float)]
+
+
+@pytest.mark.parametrize("S, r", [
+    (gen_ideal_crystal([[1.3]], [[0.0], [0.4], [0.9]], 40.0), 15.0),
+    (_two_coset_plane(20.0), 7.0),
+    (gen_ideal_crystal([[1.0, 0.0], [0.4, 1.2]],
+                       [[0.0, 0.0], [0.3, 0.5], [0.7, 0.2]], 18.0), 6.0),
+    (gen_ideal_crystal([[1.0, 0.1, 0.0], [0.0, 1.1, 0.2], [0.1, 0.0, 0.9]],
+                       [[0.0, 0.0, 0.0], [0.45, 0.3, 0.5]], 7.0), 3.0),
+    (_vacancy_plane(), 7.0),
+], ids=["p1-three-residues", "two-coset-plane", "p2-three-residues",
+        "p3-two-residues", "vacancy-plane"])
+def test_candidates_contain_every_difference_set_period(S, r):
+    r_min = 0.3
+    want = _difference_set_periods(S, r_min, r)
+    assert len(want) >= 2 * S.dim
+    got = candidate_almost_periods(S, 0.05, r_min, r)
+    for T in want:
+        assert np.min(np.linalg.norm(got - T, axis=1)) <= TOL_EQ, T
+
+
+def test_candidates_window_too_small():
+    # no point within 6 of the origin: the anchor sits outside the core
+    # |a| + r_max + epsilon < R that the contract needs
+    S = disc_lattice()
+    ring = WindowedSet(S.points[np.linalg.norm(S.points, axis=1) >= 6.0], 10.0)
+    with pytest.raises(WindowTooSmall):
+        candidate_almost_periods(ring, 0.1, 0.5, 5.0)
+    assert len(candidate_almost_periods(S, 0.1, 0.5, 5.0)) > 0
 
 
 def test_candidates_argument_validation():

@@ -367,6 +367,32 @@ def test_recover_explicit_annulus():
         recover_crystal(S, RunConfig(r_min=40.0, r_max=45.0))
 
 
+def test_recover_paper_cone_infeasible_ladder():
+    # p = 3 cone members are longer than 3p^2 = 27; with R/2 = 8 no
+    # candidate can reach a cone, so the run stops before any harvest
+    g = np.arange(-16.0, 17.0)
+    pts = np.stack(np.meshgrid(g, g, g), axis=-1).reshape(-1, 3)
+    S = WindowedSet(pts[np.linalg.norm(pts, axis=1) <= 16.0], 16.0)
+    out = recover_crystal(S, RunConfig(strategy="paper-cone"))
+    assert isinstance(out, NoCrystalEvidence)
+    assert out.stage == "basis-selection"
+    assert out.diagnostics["n_candidates"] == 0
+    # the same window is a crystal under greedy-det, and a smaller
+    # cone_scale brings the cones inside R/2
+    assert recover_crystal(S).verified
+    out = recover_crystal(S, RunConfig(strategy="paper-cone", cone_scale=0.25))
+    assert out.verified
+
+
+def test_recover_empty_centre_is_staged():
+    S = disc_lattice(20.0)
+    ring = WindowedSet(S.points[np.linalg.norm(S.points, axis=1) >= 11.0], 20.0)
+    out = recover_crystal(ring)
+    assert isinstance(out, NoCrystalEvidence)
+    assert out.stage == "candidate-generation"
+    assert "anchor" in out.reason
+
+
 def test_recover_fibonacci_negative():
     S = gen_cut_and_project((1 + np.sqrt(5)) / 2, (0.0, 1.0), 260.0)
     out = recover_crystal(S)
