@@ -210,7 +210,8 @@ def brute_force_almost_period(S: WindowedSet, tau, epsilon: float) -> bool:
 def candidate_almost_periods(
     S: WindowedSet, epsilon: float, r_min: float, r_max: float
 ) -> np.ndarray:
-    """Anchor differences c - a with r_min <= |c - a| <= r_max, shortest first.
+    """Anchor differences c - a, c != a, with r_min <= |c - a| <= r_max,
+    shortest first.
 
     The anchor a is the window point nearest the origin (the one
     snap_to_period uses). A period T with |T| <= r_max maps a onto a window
@@ -240,6 +241,7 @@ def candidate_almost_periods(
         )
     near = np.asarray(S.tree().query_ball_point(a, r_max + TOL_EQ),
                       dtype=np.intp)
+    near = near[near != anchor_idx]
     return _annulus_sorted(S.points[near] - a, r_min, r_max)
 
 

@@ -72,7 +72,6 @@ def _config_from_args(args) -> RunConfig:
         tol_exact=args.tol_exact,
         max_denominator=args.max_denominator,
         min_points=args.min_points,
-        seed=args.seed,
         output=args.output,
     ).validate()
 
@@ -86,7 +85,6 @@ def _add_config_flags(sub) -> None:
     sub.add_argument("--tol-exact", type=float, default=1e-8)
     sub.add_argument("--max-denominator", type=int, default=64)
     sub.add_argument("--min-points", type=int, default=50)
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--output", choices=OUTPUT_MODES, default="json")
     sub.add_argument("--out", default=None, help="write report to this path")
 
@@ -104,6 +102,7 @@ def _add_generator_flags(sub) -> None:
     sub.add_argument("--intensity", type=float, default=1.0)
     sub.add_argument("--radius", type=float, default=40.0)
     sub.add_argument("--dim", type=int, default=1)
+    sub.add_argument("--seed", type=int, default=0)
 
 
 def _load_input(path: str, fmt: str | None) -> WindowedSet:
@@ -229,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("kind",
                     choices=("crystal", "perturbed", "cut_project", "poisson"))
     _add_generator_flags(pg)
-    pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("--format", choices=("csv", "json"), default="csv")
     pg.add_argument("--out", default=None)
     pg.set_defaults(func=cmd_generate)

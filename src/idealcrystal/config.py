@@ -26,7 +26,6 @@ class RunConfig:
     tol_exact: float = 1e-8
     max_denominator: int = 64
     min_points: int = 50
-    seed: int = 0
     output: str = "json"
 
     def validate(self) -> "RunConfig":

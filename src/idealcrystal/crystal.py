@@ -3,11 +3,12 @@
 The pipeline mirrors the constructive argument: measure the denseness
 radius and the difference-set gap, harvest candidate translations as the
 differences c - a from one anchor a near the origin (a period T with
-|T| <= r maps a onto a window point), keep the ones that survive exact
-verification, select p independent periods (cone condition or
-shortest-independent greedy), close the period collection into a lattice
-by rational refinement, cut residues near the origin, and verify both
-inclusions of A = L + F on the window.
+|T| <= r maps a onto a window point), send each straight to exact
+verification on a subwindow core and keep the ones that pass, select p
+independent periods (cone condition or shortest-independent greedy),
+close the period collection into a lattice by rational refinement, cut
+residues near the origin, and verify both inclusions of A = L + F on the
+window.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ from ._util import query_workers
 from .almost_period import (
     TOL_EXACT,
     Period,
-    Rejection,
     candidate_almost_periods,
-    is_almost_period,
     snap_to_period,
 )
 from .config import RunConfig
@@ -39,8 +38,10 @@ from .errors import (
     SingularBasis,
     WindowTooSmall,
 )
-# difference_vectors is not called here (finite_type_gap runs the only pair
-# sweep); the benchmark tracer (perfbench/spans.py) wraps it under this module
+# is_almost_period and difference_vectors are not called here (snap_to_period
+# runs the only period check, finite_type_gap the only pair sweep); the
+# benchmark tracer (perfbench/spans.py) wraps both under this module
+from .almost_period import is_almost_period  # noqa: F401
 from .geometry import (  # noqa: F401
     denseness_radius,
     difference_vectors,
@@ -58,7 +59,7 @@ COORD_TOL = 1e-6
 _SUBWINDOW_CAP = 60000
 
 #: Hard cap on candidate translations tested per run. Every anchor
-#: difference is a candidate and each screen queries a core that grows
+#: difference is a candidate and each check queries a core that grows
 #: with the window, so a set with no periods costs time quadratic in it;
 #: past this many shortest candidates with no verified period the verdict
 #: cannot change, and the cap is recorded in the diagnostics.
@@ -542,7 +543,7 @@ def _harvest_source(S: WindowedSet, D: float, r_cur: float) -> WindowedSet:
 
 
 def _screen_source(S: WindowedSet, r_cur: float) -> WindowedSet:
-    """Concentric subwindow candidates are screened and snapped against.
+    """Concentric subwindow candidates are verified against.
 
     No pair sweep runs here, only per-candidate neighbour queries, so the
     only constraint is a core wide enough for |tau| up to r_cur.
@@ -561,12 +562,16 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
 
     Candidates are the anchor differences c - a, a the window point nearest
     the origin: a period T with |T| <= r maps a onto a window point. They
-    are harvested once up to the largest ladder radius and screened one
-    annulus per step, each exactly once. Candidate radii escalate (doubling
-    from 4D up to R/2) until the swept annulus covers the covering radius
-    of the refined basis (any period missing from the group would have a
-    coset representative that short), so a skewed or composite period group
-    is closed before the verdict. An explicit r_max disables escalation.
+    are harvested once up to the largest ladder radius and checked one
+    annulus per step, each exactly once, by exact verification alone (an
+    anchor difference is already the vector an almost period would snap
+    to). A candidate within epsilon/2 of the provisional lattice is
+    skipped unless it lies in the cone of a paper-cone axis that still has
+    no period. Candidate radii escalate (doubling from 4D up to R/2) until
+    the swept annulus covers the covering radius of the refined basis (any
+    period missing from the group would have a coset representative that
+    short), so a skewed or composite period group is closed before the
+    verdict. An explicit r_max disables escalation.
     """
     cfg = (config or RunConfig()).validate()
     diag: dict = {"strategy": cfg.strategy, "n_points": len(S)}
@@ -642,15 +647,13 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
                               np.linalg.norm(harvest, axis=1))
 
     periods: list[Period] = []
-    periods_mat = np.zeros((0, p))
     lat_prov: Lattice | None = None
     n_candidates = 0
     best_failure: NoCrystalEvidence | None = None
     success: CrystalDecomposition | None = None
     capped = False
-    # paper-cone needs a verified period inside every axis cone; those sit
-    # beyond 3p^2*scale, so long candidates are exempt from the membership
-    # skip until each cone has one
+    # paper-cone needs a verified period inside every axis cone; these are
+    # the axes whose cone has none yet
     axes_missing: set = (
         set(range(1, p + 1)) if cfg.strategy == "paper-cone" and p >= 2
         else set()
@@ -670,39 +673,25 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
                 diag["candidates_capped"] = True
                 break
             n_candidates += 1
-            if len(periods_mat) and float(
-                np.min(np.linalg.norm(periods_mat - v, axis=1))
-            ) < eps / 2:
-                continue
-            # candidates already inside the recovered period group would
-            # snap onto a known group element (their snapped vector sits
-            # within the gap of one), so they cannot refine anything
-            hold = (
-                axes_missing
-                and len(periods) < 512
-                and float(np.linalg.norm(v)) > cone_lo
-            )
-            if lat_prov is not None and not hold:
-                if float(lat_prov.distance(v)) < eps / 2:
+            # a candidate already inside the recovered period group cannot
+            # refine it; it can only fill a still-empty axis cone
+            if lat_prov is not None and float(lat_prov.distance(v)) < eps / 2:
+                if not any(len(cone_filter(v[None], j, p, cfg.cone_scale))
+                           for j in axes_missing):
                     continue
-            # screen and snap against a subwindow: translation symmetry of
-            # the full window restricts to any concentric subwindow, so a
-            # rejection here is final, and the decomposition check at the
-            # end still runs on the full window
-            try:
-                res = is_almost_period(scr, v, eps / 2)
-            except WindowTooSmall:
-                continue
-            if isinstance(res, Rejection):
-                continue
+            # verify against a subwindow: translation symmetry of the full
+            # window restricts to any concentric subwindow, so a rejection
+            # here is final, and the decomposition check at the end still
+            # runs on the full window. Snapping an anchor difference returns
+            # it unchanged; the probe pass of the exact check rejects early.
             try:
                 P = snap_to_period(scr, v, eps, cfg.tol_exact)
-            except (NoSnapTarget, AmbiguousSnap, NotExactPeriod):
+            except (NoSnapTarget, AmbiguousSnap, NotExactPeriod,
+                    WindowTooSmall):
                 continue
             if float(np.linalg.norm(P.T)) <= 2 * TOL_EQ:
                 continue
             periods.append(P)
-            periods_mat = np.vstack([periods_mat, np.asarray(P.T)[None]])
             for j in tuple(axes_missing):
                 if len(cone_filter(np.asarray(P.T)[None], j, p,
                                    cfg.cone_scale)):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .crystal import CrystalDecomposition, NoCrystalEvidence
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _py(value):

@@ -174,3 +174,19 @@ def test_generate_seeded_determinism():
     c = run("generate", "poisson", "--seed", "10", "--radius", "40")
     assert a.stdout == b.stdout
     assert a.stdout != c.stdout
+
+
+def test_seed_is_a_generator_flag_only(tmp_path):
+    # recovery reads no seed: analyze refuses the flag and the config echo
+    # omits it, while generate and roundtrip still seed the generator
+    src = tmp_path / "p.csv"
+    g = run("generate", "poisson", "--radius", "60", "--seed", "3",
+            "--out", str(src))
+    assert g.returncode == 0
+    assert run("analyze", str(src), "--seed", "3").returncode == 1
+    a = run("analyze", str(src))
+    assert a.returncode == 3
+    assert "seed" not in json.loads(a.stdout)["config"]
+    r = run("roundtrip", "poisson", "--radius", "60", "--seed", "3")
+    assert r.returncode == 3
+    assert "no-crystal" in r.stdout

@@ -26,6 +26,7 @@ from idealcrystal import (
     residues,
     verify_decomposition,
 )
+from idealcrystal.almost_period import candidate_almost_periods
 from idealcrystal.config import RunConfig
 
 
@@ -382,6 +383,47 @@ def test_recover_paper_cone_infeasible_ladder():
     assert recover_crystal(S).verified
     out = recover_crystal(S, RunConfig(strategy="paper-cone", cone_scale=0.25))
     assert out.verified
+
+
+def test_recover_counts_no_zero_candidate():
+    # with r_min below TOL_EQ the annulus reaches length 0, yet the anchor
+    # is no translation of itself: only points c != a give candidates
+    S = gen_ideal_crystal([[1.0, 0.0], [0.3, 1.1]], [[0.0, 0.0]], 12.0)
+    a = S.points[np.argmin(S.norms())]
+    d = np.linalg.norm(S.points - a, axis=1)
+    want = int(((d > 0) & (d <= 3.0)).sum())
+    assert want == 26
+    got = candidate_almost_periods(S, 0.1, 1e-12, 3.0)
+    assert len(got) == want
+    assert np.all(np.linalg.norm(got, axis=1) > 0)
+    out = recover_crystal(S, RunConfig(r_min=1e-12, r_max=3.0))
+    assert out.verified
+    assert out.diagnostics["n_candidates"] == want
+
+
+def _criterion6_basis(seed):
+    """Criterion-6 recipe: a rotated near-square basis (R = 62, |F| = 1)."""
+    rng = np.random.default_rng(74_000 + seed)
+    t = float(rng.uniform(0, 2 * np.pi))
+    Q = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    return Q @ np.diag(rng.uniform(0.9, 1.1, 2))
+
+
+@pytest.mark.parametrize("B, F, R", [
+    ([[1.0, 0.0], [0.3, 1.1]], [[0.0, 0.0], [0.5, 0.55]], 30.0),
+    (_criterion6_basis(0), [[0.0, 0.0]], 62.0),
+], ids=["readme-plane", "criterion6-seed0"])
+def test_recover_paper_cone_keeps_only_cone_fillers(B, F, R):
+    # with r_max = R/2 both strategies check the same harvest; once the
+    # provisional lattice exists, paper-cone keeps a candidate inside it only
+    # when it fills an empty axis cone, so at most p more periods than greedy
+    S = gen_ideal_crystal(B, F, R)
+    n = {}
+    for strategy in ("greedy-det", "paper-cone"):
+        out = recover_crystal(S, RunConfig(strategy=strategy, r_max=R / 2))
+        assert out.verified, strategy
+        n[strategy] = out.diagnostics["n_periods"]
+    assert n["paper-cone"] <= n["greedy-det"] + S.dim, n
 
 
 def test_recover_empty_centre_is_staged():
