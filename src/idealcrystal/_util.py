@@ -11,11 +11,14 @@ def query_workers() -> int:
     """Worker count for parallel neighbor queries.
 
     Controlled by the CRYSTAL_THREADS environment variable; unset means
-    "use all cores". Results of the queries do not depend on this value.
+    one thread. Each query with more than one worker starts and joins its
+    threads, which costs more than it saves on the windows measured so far
+    and, on a busy machine, waits for the slowest thread. Results of the
+    queries do not depend on this value.
     """
     raw = os.environ.get("CRYSTAL_THREADS")
     if raw is None or raw.strip() == "":
-        return -1
+        return 1
     try:
         n = int(raw)
     except ValueError:

@@ -348,13 +348,14 @@ def verify_exact_period(S: WindowedSet, T, tol_exact: float = TOL_EXACT):
     core = _core_indices(S, margin)
     if len(core) == 0:
         raise WindowTooSmall("no core points survive the |T| margin")
-    core_pts = S.points[core]
-    m = len(core_pts)
+    m = len(core)
 
+    # rows are gathered only as far as a scan needs them, so a candidate the
+    # probes reject never copies the whole core
     if m > 64:
         probes = np.unique(np.linspace(0, m - 1, 32).astype(np.intp))
         d, _ = S.tree().query(
-            core_pts[probes] + T, k=1,
+            S.points[core[probes]] + T, k=1,
             distance_upper_bound=tol_exact * (1 + 1e-9),
             workers=query_workers(),
         )
@@ -363,13 +364,13 @@ def verify_exact_period(S: WindowedSet, T, tol_exact: float = TOL_EXACT):
             # some offender exists at or before the first bad probe; scan
             # that prefix to return the canonical-order witness
             limit = int(probes[np.argmax(bad)])
-            first = _first_failure(S, core_pts[: limit + 1], T, tol_exact)
+            first = _first_failure(S, S.points[core[: limit + 1]], T, tol_exact)
             if first >= 0:
-                return _witness(S, core_pts[first], T)
+                return _witness(S, S.points[core[first]], T)
 
-    first = _first_failure(S, core_pts, T, tol_exact)
+    first = _first_failure(S, S.points[core], T, tol_exact)
     if first >= 0:
-        return _witness(S, core_pts[first], T)
+        return _witness(S, S.points[core[first]], T)
     return float(S.radius - margin)
 
 

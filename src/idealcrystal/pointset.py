@@ -5,7 +5,12 @@ be the restriction of some larger point set to the ball ``|x| <= radius``
 about the origin. The container is immutable, keeps its points in
 canonical lexicographic order (so every tie-break in the package is
 deterministic), and caches the nearest-neighbour structure that most
-analyses need.
+analyses need. Input already in canonical order (as ``serialize`` writes
+it) is copied, not re-sorted; a non-finite radius is refused.
+
+JSON point lists are parsed column-wise: one numpy conversion takes a
+well-formed list, and only a list it cannot take is scanned row by row,
+to name the first bad row.
 """
 
 from __future__ import annotations
@@ -39,6 +44,18 @@ def _canonical_order(pts: np.ndarray) -> np.ndarray:
     return np.lexsort(keys)
 
 
+def _in_canonical_order(pts: np.ndarray) -> bool:
+    """Whether consecutive rows are already lexicographically non-decreasing,
+    so the stable sort of ``_canonical_order`` would leave them in place."""
+    if len(pts) < 2:
+        return True
+    a, b = pts[:-1], pts[1:]
+    differs = a != b
+    first = differs.argmax(axis=1)
+    rows = np.arange(len(a))
+    return bool(np.all(~differs[rows, first] | (a[rows, first] < b[rows, first])))
+
+
 class WindowedSet:
     """Finite point set in R^p restricted to a ball about the origin.
 
@@ -47,10 +64,15 @@ class WindowedSet:
     points : array-like, shape (n, p)
         Coordinates. One-dimensional input is treated as n points in R^1.
     radius : float, optional
-        Window radius. Defaults to ``max |a|`` over the points.
+        Window radius, finite and non-negative. Defaults to ``max |a|``
+        over the points.
     label : str
         Free-form provenance string, carried through restriction and
         serialization.
+
+    The points are stored in canonical lexicographic order, in an array
+    the container owns: input already in that order is copied, other
+    input is sorted. The caller's array is never aliased or frozen.
     """
 
     def __init__(self, points, radius=None, label: str = "", *, _trusted=False):
@@ -65,7 +87,7 @@ class WindowedSet:
             raise ParseError("coordinates must be finite (no NaN or infinity)")
 
         if not _trusted:
-            pts = pts[_canonical_order(pts)]
+            pts = pts.copy() if _in_canonical_order(pts) else pts[_canonical_order(pts)]
         pts = np.ascontiguousarray(pts)
         pts.flags.writeable = False
         self.points = pts
@@ -79,6 +101,8 @@ class WindowedSet:
         if radius is None:
             radius = float(norms.max()) if len(pts) else 0.0
         radius = float(radius)
+        if not np.isfinite(radius):
+            raise ConfigError(f"radius must be finite, got {radius:g}")
         if radius < 0:
             raise ConfigError("radius must be non-negative")
         if len(pts) and norms.max() > radius + TOL_EQ:
@@ -198,7 +222,8 @@ def _load_csv(text: str) -> WindowedSet:
 def _load_json(text: str) -> WindowedSet:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # JSONDecodeError, the interpreter's int-digit limit, deep nesting
         raise ParseError(f"invalid JSON: {e}")
     if not isinstance(obj, dict) or "points" not in obj:
         raise ParseError("JSON point set must be an object with a 'points' key")
@@ -206,6 +231,39 @@ def _load_json(text: str) -> WindowedSet:
     if not isinstance(raw, list):
         raise ParseError("'points' must be a list of coordinate rows")
     dim = obj.get("dim")
+    if dim is not None and (
+        isinstance(dim, bool) or not isinstance(dim, int) or dim < 1
+    ):
+        raise ParseError("'dim' must be a positive integer")
+    pts = _json_rows(raw, dim)
+    radius = obj.get("radius")
+    if radius is not None:
+        try:
+            radius = float(radius)
+        except (TypeError, ValueError, OverflowError):
+            raise ParseError("'radius' must be a number")
+    label = str(obj.get("label", ""))
+    try:
+        return WindowedSet(pts, radius, label)
+    except ConfigError as e:
+        raise ParseError(str(e))
+
+
+def _json_rows(raw: list, dim: int | None) -> np.ndarray:
+    """The JSON point list as an (n, dim) float64 array.
+
+    A rectangular list of numbers converts in one numpy call. Anything
+    else (ragged or nested rows, non-numbers, integers numpy keeps as
+    Python objects) is scanned row by row, which names the first bad row
+    or converts each coordinate with ``float``.
+    """
+    try:
+        arr = np.array(raw)
+    except ValueError:  # ragged or too deeply nested
+        arr = None
+    if (arr is not None and arr.ndim == 2 and arr.dtype.kind in "biuf"
+            and dim in (None, arr.shape[1])):
+        return arr.astype(np.float64, copy=False)
     rows = []
     for i, row in enumerate(raw):
         if not isinstance(row, list) or not all(
@@ -218,17 +276,13 @@ def _load_json(text: str) -> WindowedSet:
             raise DimensionMismatch(
                 f"points[{i}] has {len(row)} coordinates, expected {dim}"
             )
-        rows.append([float(c) for c in row])
+        try:
+            rows.append([float(c) for c in row])
+        except OverflowError:
+            raise ParseError(f"points[{i}] has a coordinate beyond the float range")
     if not rows:
         raise ParseError("no points in JSON input")
-    radius = obj.get("radius")
-    if radius is not None:
-        radius = float(radius)
-    label = str(obj.get("label", ""))
-    try:
-        return WindowedSet(np.array(rows, dtype=np.float64), radius, label)
-    except ConfigError as e:
-        raise ParseError(str(e))
+    return np.array(rows, dtype=np.float64)
 
 
 def serialize(S: WindowedSet, format: str = "csv", metadata: dict | None = None) -> str:
@@ -253,7 +307,7 @@ def serialize(S: WindowedSet, format: str = "csv", metadata: dict | None = None)
             "dim": S.dim,
             "radius": S.radius,
             "label": S.label,
-            "points": [[float(c) for c in row] for row in S.points],
+            "points": S.points.tolist(),
         }
         if metadata:
             obj["generator"] = metadata

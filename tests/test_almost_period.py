@@ -301,6 +301,32 @@ def test_verify_witness_on_small_core():
     assert out.point.tolist() == [-18.0]
 
 
+def test_verify_matches_plain_scan():
+    # reference: every core point in canonical order, one at a time; with
+    # the column x = 3 missing, the offenders of a unit shift form a block
+    # mid-core that a probe lands inside, so the witness must come from
+    # the prefix scan, not from the probe that failed
+    g = np.arange(-12.0, 13.0)
+    pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    pts = pts[(np.linalg.norm(pts, axis=1) <= 12.0) & (pts[:, 0] != 3.0)]
+    S = WindowedSet(pts, 12.0)
+    tol = 1e-8
+    for T in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-2.0, 1.0], [0.5, 0.0]):
+        T = np.array(T)
+        margin = np.linalg.norm(T) + tol
+        expected = S.radius - margin
+        for a in S.points[S.norms() <= S.radius - margin]:
+            d = float(np.min(np.linalg.norm(S.points - (a + T), axis=1)))
+            if d > tol:
+                expected = (a.tolist(), d)
+                break
+        out = verify_exact_period(S, T, tol)
+        if isinstance(out, FailureWitness):
+            assert (out.point.tolist(), out.distance) == expected, T
+        else:
+            assert out == expected, T
+
+
 def test_verify_argument_validation():
     S = integer_line()
     with pytest.raises(ConfigError):

@@ -4,7 +4,10 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+from idealcrystal._util import query_workers
+from idealcrystal.errors import ConfigError
 from idealcrystal.pointset import load_points
 
 PKG = [sys.executable, "-m", "idealcrystal"]
@@ -109,6 +112,18 @@ def test_analyze_malformed_input_exit_1(tmp_path):
     assert "error:" in a.stderr
 
 
+def test_analyze_bad_json_exit_1():
+    # each used to end in a traceback instead of "error: ..."
+    for text in ['{"radius": "abc", "points": [[1.0]]}',
+                 '{"radius": [1], "points": [[1.0]]}',
+                 '{"points": [[%s]]}' % ("7" * 400),
+                 '{"points": [[%s]]}' % ("7" * 4400),
+                 '{"points": %s%s}' % ("[" * 100_000, "]" * 100_000)]:
+        a = run("analyze", "-", "--format", "json", stdin=text)
+        assert a.returncode == 1, text[:40]
+        assert a.stderr.startswith("error:"), a.stderr[-200:]
+
+
 def test_analyze_bad_config_exit_1(tmp_path):
     src = tmp_path / "c.csv"
     run("generate", "crystal", "--basis", "1", "--radius", "30",
@@ -166,6 +181,18 @@ def test_reports_deterministic_across_threads(tmp_path):
         rep.pop("timings_ms")
         outs.append(json.dumps(rep, sort_keys=True))
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_query_workers_default_is_one_thread(monkeypatch):
+    monkeypatch.delenv("CRYSTAL_THREADS", raising=False)
+    assert query_workers() == 1
+    monkeypatch.setenv("CRYSTAL_THREADS", "4")
+    assert query_workers() == 4
+    monkeypatch.setenv("CRYSTAL_THREADS", "0")
+    assert query_workers() == 1
+    monkeypatch.setenv("CRYSTAL_THREADS", "all")
+    with pytest.raises(ConfigError):
+        query_workers()
 
 
 def test_generate_seeded_determinism():

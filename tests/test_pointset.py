@@ -4,6 +4,8 @@ Frozen values are hand-computed or brute-forced in line; random cases run
 the O(n^2) oracle next to the library call.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from idealcrystal import (
     serialize,
     window_restrict,
 )
-from idealcrystal.pointset import TOL_EQ
+from idealcrystal.pointset import TOL_EQ, _canonical_order, _in_canonical_order
 
 
 def brute_min_sep(pts):
@@ -85,6 +87,36 @@ def test_points_are_immutable():
     S = WindowedSet([[1.0], [2.0]], 3.0)
     with pytest.raises(ValueError):
         S.points[0] = 9.0
+
+
+def test_canonical_input_is_copied_not_aliased():
+    arr = np.array([[-1.0, 0.0], [0.0, -2.0], [0.0, 3.0]])
+    assert _in_canonical_order(arr)
+    S = WindowedSet(arr, 4.0)
+    assert arr.flags.writeable
+    arr[0, 0] = 9.0
+    assert S.points[0].tolist() == [-1.0, 0.0]
+
+
+def test_in_canonical_order_matches_lexsort():
+    # the order check must say "in order" exactly when the stable sort
+    # leaves the rows where they are; small integer ranges force ties in
+    # every column, and -0.0 must tie with 0.0 as it does in the sort
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        n, p = int(rng.integers(0, 8)), int(rng.integers(1, 4))
+        pts = rng.integers(-2, 3, size=(n, p)).astype(np.float64)
+        pts[rng.random(size=pts.shape) < 0.2] = -0.0
+        if trial % 2:
+            pts = pts[_canonical_order(pts)]
+        in_place = pts[_canonical_order(pts)].tobytes() == pts.tobytes()
+        assert _in_canonical_order(pts) == in_place, (trial, pts)
+
+
+def test_nonfinite_radius_rejected():
+    for r in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="radius must be finite"):
+            WindowedSet([[1.0]], r)
 
 
 def test_equals_is_exact():
@@ -161,6 +193,114 @@ def test_json_errors():
     # declared radius smaller than the data is a parse-level failure
     with pytest.raises(ParseError):
         load_points('{"radius": 0.5, "points": [[2.0]]}', "json")
+
+
+@pytest.mark.parametrize(
+    "points, error, message",
+    [
+        ('[[1.0, "2"]]', ParseError, "points[0] is not a numeric row"),
+        ("[[1.0, 2.0], [null, 1.0]]", ParseError,
+         "points[1] is not a numeric row"),
+        ("[[1.0, 2.0], [[1.0], 2.0]]", ParseError,
+         "points[1] is not a numeric row"),
+        ("[[1.0, 2.0], [3.0, 4.0], [5.0]]", DimensionMismatch,
+         "points[2] has 1 coordinates, expected 2"),
+        ('[[1.0, 2.0], [3.0, 4.0]], "dim": 3', DimensionMismatch,
+         "points[0] has 2 coordinates, expected 3"),
+        ("[[1.0, 2.0], 3.0]", ParseError, "points[1] is not a numeric row"),
+        ("[]", ParseError, "no points in JSON input"),
+        ("[[]]", ParseError, "dimension must be at least 1"),
+    ],
+    ids=["string", "null", "nested-row", "ragged", "dim-mismatch",
+         "non-list-row", "empty", "empty-row"],
+)
+def test_json_malformed_points_messages(points, error, message):
+    # type and message as the per-row loader gave them
+    with pytest.raises(error) as info:
+        load_points('{"points": %s}' % points, "json")
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 2], [3, -4]],
+        [[True, False], [False, False]],
+        [[1, 0.5], [-3, 2.25]],
+        [[2**53 + 1, 0.5], [2**53 + 1, 1]],
+        [[2**63 + 1, 0], [-1, 2**63 + 1]],
+        [[2**70, 1], [1, 0.5]],
+        [[2**63 + 2**10 + 1, True], [0, 0]],
+    ],
+    ids=["ints", "bools", "mixed", "2^53+1", "2^63+1", "2^70", "uint64-tie"],
+)
+def test_json_numbers_load_as_float(rows):
+    reference = np.array([[float(c) for c in row] for row in rows])
+    S = load_points(json.dumps({"points": rows}), "json")
+    assert S.points.tobytes() == WindowedSet(reference).points.tobytes()
+
+
+def test_json_shuffled_window_loads_sorted():
+    g = np.arange(-15.0, 16.0)
+    pts = np.stack(np.meshgrid(g, g, g), axis=-1).reshape(-1, 3)
+    pts = pts[np.linalg.norm(pts, axis=1) <= 14.2]
+    assert len(pts) >= 10_000
+    S = WindowedSet(pts, 14.2)
+    shuffled = pts[np.random.default_rng(3).permutation(len(pts))]
+    T = load_points(json.dumps({"radius": 14.2, "points": shuffled.tolist()}),
+                    "json")
+    assert T.equals(S)
+    assert T.equals(load_points(serialize(S, "json"), "json"))
+
+
+def test_json_rendering_matches_per_coordinate_reference():
+    # the per-coordinate rendering the columnar one replaced: the bytes
+    # that `generate` writes and the benchmark parses must not move
+    def reference(S):
+        return json.dumps({
+            "dim": S.dim,
+            "radius": S.radius,
+            "label": S.label,
+            "points": [[float(c) for c in row] for row in S.points],
+        }) + "\n"
+
+    # 1e300 cannot be a coordinate: its norm overflows, so no finite
+    # radius holds it; 1e150 is the large-magnitude case instead
+    rng = np.random.default_rng(11)
+    pts = np.concatenate([
+        [[-0.0, 5e-324], [1e150, 0.0], [3.0, -7.0], [1e16, 2.0],
+         [0.1 + 0.2, 1 / 3], [np.nextafter(1.0, 2.0), -1.2345678901234567]],
+        rng.normal(size=(40, 2)) * 10.0,
+    ])
+    S = WindowedSet(pts, 2e150, label="reference")
+    text = serialize(S, "json")
+    assert "[-0.0, 5e-324]" in text
+    assert text == reference(S)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"radius": "abc", "points": [[1.0]]}',
+        '{"radius": [1], "points": [[1.0]]}',
+        '{"points": [[%s]]}' % ("7" * 400),
+        '{"points": [[%s]]}' % ("7" * 4400),
+        '{"points": %s%s}' % ("[" * 100_000, "]" * 100_000),
+        '{"radius": NaN, "points": [[1.0]]}',
+        '{"radius": Infinity, "points": [[1.0]]}',
+        '{"dim": "2", "points": [[1.0, 2.0]]}',
+        '{"dim": true, "points": [[1.0]]}',
+        '{"dim": 0, "points": [[1.0]]}',
+        '{"dim": 2.0, "points": [[1.0, 2.0]]}',
+    ],
+    ids=["radius-string", "radius-list", "400-digit-int", "4400-digit-int",
+         "deep-nesting", "radius-nan", "radius-infinity", "dim-string",
+         "dim-bool", "dim-zero", "dim-float"],
+)
+def test_json_bad_input_is_parse_error(text):
+    with pytest.raises(ParseError):
+        load_points(text, "json")
 
 
 def test_unknown_format():
