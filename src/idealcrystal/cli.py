@@ -109,7 +109,8 @@ def _load_input(path: str, fmt: str | None) -> WindowedSet:
     if fmt is None:
         fmt = "json" if path.endswith(".json") else "csv"
     if path == "-":
-        return load_points(sys.stdin.read(), fmt)
+        # raw bytes: load_points reports non-UTF-8 input as a ParseError
+        return load_points(sys.stdin.buffer.read(), fmt)
     with open(path, "rb") as f:
         return load_points(f.read(), fmt)
 

@@ -20,7 +20,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import query_workers
 from .almost_period import (
     TOL_EXACT,
     Period,
@@ -279,17 +278,24 @@ def refine_lattice(L: Lattice, periods, max_denominator: int = 64) -> Lattice:
     return L
 
 
+def _coord_bounds(inv: np.ndarray, radius: float) -> list[int]:
+    """Per-axis bound b_i with |n_i| < b_i for every n B inside the ball."""
+    return [int(np.floor(radius * np.linalg.norm(inv[:, i]))) + 1
+            for i in range(inv.shape[1])]
+
+
 def _lattice_points(basis: np.ndarray, inv: np.ndarray, radius: float):
-    """Yield lattice points with |t| <= radius in deterministic chunks."""
+    """Yield (n, t = n B) for lattice points with |t| <= radius, in
+    deterministic chunks; n holds the integer coordinates."""
     p = basis.shape[0]
-    bounds = [int(np.floor(radius * np.linalg.norm(inv[:, i]))) + 1
-              for i in range(p)]
+    bounds = _coord_bounds(inv, radius)
     first = np.arange(-bounds[0], bounds[0] + 1)
     if p == 1:
-        t = first[:, None] * basis[0]
+        n = first[:, None]
+        t = n * basis[0]
         keep = np.linalg.norm(t, axis=1) <= radius + TOL_EQ
         if keep.any():
-            yield t[keep]
+            yield n[keep], t[keep]
         return
     grids = np.meshgrid(*[np.arange(-b, b + 1) for b in bounds[1:]],
                         indexing="ij")
@@ -299,7 +305,7 @@ def _lattice_points(basis: np.ndarray, inv: np.ndarray, radius: float):
         t = n @ basis
         keep = np.linalg.norm(t, axis=1) <= radius + TOL_EQ
         if keep.any():
-            yield t[keep]
+            yield n[keep], t[keep]
 
 
 def residues(S: WindowedSet, L: Lattice) -> np.ndarray:
@@ -381,55 +387,105 @@ def verify_decomposition(S: WindowedSet, L: Lattice, F,
     Inclusion in: every t + f inside the window (radius R - tol_exact) must
     hit a point of S within tol_exact. Inclusion out: every core point
     (|a| <= R - sum |T_j|) must sit within tol_exact of L + F. Failures
-    lower the coverages and are sampled into the witness lists.
+    lower the coverages and are sampled into the witness lists (the first
+    ten in enumeration order, then in core order).
+
+    Both run in integer lattice coordinates, with no neighbour queries.
+    Per residue f every window point is mapped once to n = round((a-f) B^-1)
+    and d = |a - f - n B|; inclusion out reads d on the core. A point within
+    tol_exact of t + f has n equal to the coordinates of t exactly while
+    tol_exact * max_i |B^-1[:, i]| < 1/2, so inclusion in looks each
+    enumerated (f, n) up among the window's keys (one packed int64 per
+    point and residue, one sort, searchsorted) and measures |a - (t + f)|
+    against the points with that key, keeping the nearest. A larger
+    tolerance, or a key range past int64, raises ConfigError.
     """
     F = np.asarray(F, dtype=np.float64).reshape(-1, S.dim)
     tol_exact = float(tol_exact)
     if tol_exact <= 0:
         raise ConfigError("tol_exact must be positive")
+    reach = tol_exact * float(np.linalg.norm(L.inv, axis=0).max())
+    if not reach < 0.5:
+        raise ConfigError(
+            f"tol_exact {tol_exact:g} spans {reach:g} lattice cells; the "
+            "integer-coordinate check needs less than 1/2"
+        )
     R = S.radius
     max_f = float(np.linalg.norm(F, axis=1).max()) if len(F) else 0.0
-    tree = S.tree()
+    enum_r = R + max_f + 1.0
+    bounds = np.array(_coord_bounds(L.inv, enum_r), dtype=np.int64)
+    widths = [2 * int(b) + 1 for b in bounds]
+    if len(F) * math.prod(widths) > np.iinfo(np.int64).max:
+        raise ConfigError(
+            f"lattice key range {len(F)} x {' x '.join(map(str, widths))} "
+            "exceeds int64"
+        )
+
+    def pack(fi: int, n: np.ndarray) -> np.ndarray:
+        key = np.full(len(n), fi, dtype=np.int64)
+        for i, w in enumerate(widths):
+            key = key * w + (n[:, i] + bounds[i])
+        return key
+
+    pts = S.points
+    npts = len(pts)
+    keys = np.empty((len(F), npts), dtype=np.int64)
+    best = np.full(npts, np.inf)
+    for fi, f in enumerate(F):
+        x = pts - f
+        c = np.round(x @ L.inv)
+        best = np.minimum(best, np.linalg.norm(x - c @ L.basis, axis=1))
+        # a point past the bounds matches no enumerated t + f; clipping
+        # only keeps its key in range
+        keys[fi] = pack(fi, np.clip(c, -bounds, bounds).astype(np.int64))
+
+    targets, tkeys = [], []
+    for n, t in _lattice_points(L.basis, L.inv, enum_r):
+        for fi, f in enumerate(F):
+            q = t + f
+            keep = np.linalg.norm(q, axis=1) <= R - tol_exact
+            if keep.any():
+                targets.append(q[keep])
+                tkeys.append(pack(fi, n[keep]))
 
     checked_in = found_in = 0
     max_residual = 0.0
-    wit_in: list[np.ndarray] = []
-    if len(F):
-        for chunk in _lattice_points(L.basis, L.inv, R + max_f + 1.0):
-            for f in F:
-                pts = chunk + f
-                keep = np.linalg.norm(pts, axis=1) <= R - tol_exact
-                if not keep.any():
-                    continue
-                pts = pts[keep]
-                d, _ = tree.query(
-                    pts, k=1, distance_upper_bound=tol_exact * (1 + 1e-9),
-                    workers=query_workers(),
-                )
-                ok = d <= tol_exact
-                checked_in += len(pts)
-                found_in += int(ok.sum())
-                if ok.any():
-                    max_residual = max(max_residual, float(d[ok].max()))
-                for bad in pts[~ok][: max(0, 10 - len(wit_in))]:
-                    wit_in.append(bad)
+    wit_in = np.zeros((0, S.dim))
+    if targets:
+        q = np.concatenate(targets)
+        qkey = np.concatenate(tkeys)
+        order = np.argsort(keys.ravel())
+        sk = keys.ravel()[order]
+        lo = np.searchsorted(sk, qkey, side="left")
+        cnt = np.searchsorted(sk, qkey, side="right") - lo
+        # every (target, window point) pair sharing a key, grouped by target
+        hit = np.flatnonzero(cnt)
+        m = cnt[hit]
+        first = np.cumsum(m) - m
+        pos = np.arange(int(m.sum())) - np.repeat(first - lo[hit], m)
+        owner = order[pos] % npts
+        dd = np.linalg.norm(pts[owner] - np.repeat(q[hit], m, axis=0), axis=1)
+        d = np.full(len(q), np.inf)
+        if len(hit):
+            d[hit] = np.minimum.reduceat(dd, first)
+        ok = d <= tol_exact
+        checked_in = len(q)
+        found_in = int(ok.sum())
+        if ok.any():
+            max_residual = float(d[ok].max())
+        wit_in = q[~ok][:10]
 
     sigma = float(np.linalg.norm(L.basis, axis=1).sum())
     core = np.flatnonzero(S.norms() <= R - sigma)
     checked_out = len(core)
     found_out = 0
-    wit_out: list[np.ndarray] = []
+    wit_out = np.zeros((0, S.dim))
     if checked_out:
-        core_pts = S.points[core]
-        best = np.full(len(core_pts), np.inf)
-        for f in F:
-            best = np.minimum(best, L.distance(core_pts - f))
-        ok = best <= tol_exact
+        ok = best[core] <= tol_exact
         found_out = int(ok.sum())
         if ok.any():
-            max_residual = max(max_residual, float(best[ok].max()))
-        for bad in core_pts[~ok][:10]:
-            wit_out.append(bad)
+            max_residual = max(max_residual, float(best[core][ok].max()))
+        wit_out = pts[core][~ok][:10]
 
     coverage_in = found_in / checked_in if checked_in else 1.0
     coverage_out = found_out / checked_out if checked_out else 1.0

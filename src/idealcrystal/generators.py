@@ -72,7 +72,7 @@ def gen_ideal_crystal(basis, F, R: float, label: str = "") -> WindowedSet:
 
     max_f = float(np.linalg.norm(F, axis=1).max())
     pieces = []
-    for chunk in _lattice_points(B, inv, R + max_f + 1.0):
+    for _, chunk in _lattice_points(B, inv, R + max_f + 1.0):
         for f in F:
             pts = chunk + f
             keep = np.linalg.norm(pts, axis=1) <= R + TOL_EQ
@@ -115,7 +115,7 @@ def gen_perturbed_lattice(basis, amplitude: float, freqs, R: float,
     u = B[0] / np.linalg.norm(B[0])
 
     pieces = []
-    for chunk in _lattice_points(B, inv, R + amplitude + 1.0):
+    for _, chunk in _lattice_points(B, inv, R + amplitude + 1.0):
         n = np.round(chunk @ inv)
         shift = amplitude * np.sin(2 * np.pi * (n @ freqs))
         pts = chunk + shift[:, None] * u

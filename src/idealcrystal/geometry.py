@@ -20,6 +20,13 @@ from ._util import query_workers
 from .errors import ConfigError, DegenerateGap, MarginTooLarge, TooFewPoints
 from .pointset import TOL_EQ, WindowedSet, _canonical_order
 
+#: Pairs whose difference rows are formed, sign-normalized and grouped at
+#: once in difference_vectors. It bounds the sweep's working set past the
+#: pair index array to O(_PAIR_BLOCK) (about 10 MB in p = 3). Of 2^14 to
+#: 2^20, 2^16 timed fastest on a 60k-point p = 3 gap subwindow (2-core x86
+#: machine, numpy 2.4).
+_PAIR_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class DifferenceSet:
@@ -62,23 +69,20 @@ def _normalize_signs(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _group_rows(cells: np.ndarray):
-    """Group identical integer rows; (inverse, counts) as np.unique gives.
+def _group_cells(cells: np.ndarray):
+    """Runs of identical integer rows: (order, starts) with cells[order]
+    lexsorted and starts the first position of each run.
 
-    lexsort plus a run-length pass; np.unique(axis=0) sorts a byte view of
-    the rows and is several times slower at the sizes seen here.
+    lexsort is stable, so order[starts] is each run's first row.
+    np.unique(axis=0) sorts a byte view of the rows and is several times
+    slower than lexsort plus a run-length pass at the sizes seen here.
     """
-    m = len(cells)
     order = np.lexsort(cells.T)
     sc = cells[order]
-    new = np.empty(m, dtype=bool)
+    new = np.empty(len(sc), dtype=bool)
     new[0] = True
     np.any(sc[1:] != sc[:-1], axis=1, out=new[1:])
-    gid_sorted = np.cumsum(new) - 1
-    inverse = np.empty(m, dtype=np.intp)
-    inverse[order] = gid_sorted
-    counts = np.bincount(gid_sorted)
-    return inverse, counts
+    return order, np.flatnonzero(new)
 
 
 def difference_vectors(S: WindowedSet, cutoff: float) -> DifferenceSet:
@@ -89,6 +93,11 @@ def difference_vectors(S: WindowedSet, cutoff: float) -> DifferenceSet:
     enumerated member (class members agree to tol_eq, so the choice only
     moves the representative within the merge tolerance) and counted once
     per unordered pair.
+
+    Memory: the pair index array of the neighbour query (two indices per
+    pair within the cutoff) plus a working set of _PAIR_BLOCK pairs. The
+    difference rows are formed, sign-normalized and grouped onto the tol_eq
+    grid one block at a time; only each block's distinct cells survive it.
     """
     cutoff = float(cutoff)
     if cutoff <= 0:
@@ -102,19 +111,35 @@ def difference_vectors(S: WindowedSet, cutoff: float) -> DifferenceSet:
         vecs.flags.writeable = False
         return DifferenceSet(vecs, np.array([n]), cutoff)
 
-    raw = S.points[pairs[:, 0]] - S.points[pairs[:, 1]]
-    norm = _normalize_signs(raw)
-    m = len(norm)
-
     # collapse onto a tol_eq grid first: in structured sets one difference
     # vector is realized by thousands of pairs, and a pair query on the raw
     # rows would be quadratic in that multiplicity
-    cells = np.round(norm / TOL_EQ).astype(np.int64)
-    inverse, cell_count = _group_rows(cells)
+    pts = S.points
+    blocks = []
+    for lo in range(0, len(pairs), _PAIR_BLOCK):
+        blk = pairs[lo:lo + _PAIR_BLOCK]
+        norm = pts[blk[:, 0]] - pts[blk[:, 1]]
+        # i < j on canonically ordered rows gives a first coordinate <= 0;
+        # below -tol_eq it leads and is negative, so the row is negated here
+        # and only the other rows need the general sign pass. Negation, not
+        # a_j - a_i: a zero coordinate of a flipped row must become -0.0
+        lead = norm[:, 0] < -TOL_EQ
+        np.negative(norm, out=norm, where=lead[:, None])
+        rest = np.flatnonzero(~lead)
+        if len(rest):
+            norm[rest] = _normalize_signs(norm[rest])
+        cells = np.round(norm / TOL_EQ).astype(np.int64)
+        order, starts = _group_cells(cells)
+        blocks.append((cells[order[starts]], norm[order[starts]],
+                       np.diff(starts, append=len(norm))))
+
+    # merge the blocks' cells; the stable sort keeps blocks in enumeration
+    # order within a cell, so each cell keeps its first enumerated member
+    cells, reps, counts = (np.concatenate(c) for c in zip(*blocks))
+    order, starts = _group_cells(cells)
+    cell_reps = reps[order[starts]]
+    cell_count = np.add.reduceat(counts[order], starts)
     k = len(cell_count)
-    first_idx = np.full(k, m, dtype=np.intp)
-    np.minimum.at(first_idx, inverse, np.arange(m, dtype=np.intp))
-    cell_reps = norm[first_idx]
 
     # vectors within tol_eq may straddle a cell boundary; merge neighbouring
     # cell representatives (grid diagonal widens the radius slightly)
@@ -187,6 +212,11 @@ def finite_type_gap(S: WindowedSet, D: float) -> TypeGapReport:
     matching and snapping stages need. A gap at the merge tolerance means
     the difference set is not resolvably discrete and is reported as
     DegenerateGap rather than a number.
+
+    Memory: the sweep holds the O(pairs) index array of every pair within
+    D+1 and an O(_PAIR_BLOCK) working set (see difference_vectors). The
+    cutoff is an absolute length, so in small units the pair count, and
+    with it that array, grows as O(n^2).
     """
     D = float(D)
     if D <= 0:

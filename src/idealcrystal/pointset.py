@@ -167,14 +167,16 @@ class WindowedSet:
 
 
 def _as_text(source: Union[bytes, str, IO]) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
+    """The text of a str, bytes or file source; bytes must be UTF-8."""
     if isinstance(source, str):
         return source
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
+    try:
+        data = source if isinstance(source, bytes) else source.read()
+        return data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as e:
+        raise ParseError(
+            f"input is not UTF-8 text ({e.reason} at byte {e.start})"
+        ) from None
 
 
 def load_points(source, format: str = "csv") -> WindowedSet:

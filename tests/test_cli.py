@@ -124,6 +124,23 @@ def test_analyze_bad_json_exit_1():
         assert a.stderr.startswith("error:"), a.stderr[-200:]
 
 
+def test_analyze_non_utf8_file_exit_1(tmp_path):
+    src = tmp_path / "latin1.csv"
+    src.write_bytes(b"\xff# radius: 5\n1.0\n2.0\n")
+    a = run("analyze", str(src))
+    assert a.returncode == 1
+    assert a.stderr.startswith("error:") and "UTF-8" in a.stderr, a.stderr[-200:]
+
+
+def test_analyze_non_utf8_stdin_exit_1():
+    for fmt, data in (("csv", b"1.0\n\xe9\n"),
+                      ("json", b'{"points": [[1.0]], "label": "\xff"}')):
+        a = subprocess.run(PKG + ["analyze", "-", "--format", fmt], input=data,
+                           capture_output=True, timeout=300)
+        assert a.returncode == 1, fmt
+        assert a.stderr.startswith(b"error:") and b"UTF-8" in a.stderr, a.stderr
+
+
 def test_analyze_bad_config_exit_1(tmp_path):
     src = tmp_path / "c.csv"
     run("generate", "crystal", "--basis", "1", "--radius", "30",

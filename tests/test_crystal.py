@@ -26,7 +26,7 @@ from idealcrystal import (
     residues,
     verify_decomposition,
 )
-from idealcrystal.almost_period import candidate_almost_periods
+from idealcrystal.almost_period import TOL_EXACT, candidate_almost_periods
 from idealcrystal.config import RunConfig
 
 
@@ -295,6 +295,169 @@ def test_verify_missing_residue_breaks_outward():
     assert dec.coverage_in == 1.0
     assert dec.coverage_out < 1.0
     assert len(dec.witnesses_out) > 0
+
+
+# reference: the KD-tree form of verify_decomposition, one nearest-neighbour
+# query per lattice chunk and residue
+
+
+def _reference_verify_decomposition(S, L, F, tol_exact=TOL_EXACT):
+    from idealcrystal.crystal import _lattice_points
+
+    F = np.asarray(F, dtype=np.float64).reshape(-1, S.dim)
+    R = S.radius
+    max_f = float(np.linalg.norm(F, axis=1).max()) if len(F) else 0.0
+    tree = S.tree()
+    checked_in = found_in = 0
+    max_residual = 0.0
+    wit_in = []
+    if len(F):
+        for _, chunk in _lattice_points(L.basis, L.inv, R + max_f + 1.0):
+            for f in F:
+                pts = chunk + f
+                keep = np.linalg.norm(pts, axis=1) <= R - tol_exact
+                if not keep.any():
+                    continue
+                pts = pts[keep]
+                d, _ = tree.query(pts, k=1,
+                                  distance_upper_bound=tol_exact * (1 + 1e-9))
+                ok = d <= tol_exact
+                checked_in += len(pts)
+                found_in += int(ok.sum())
+                if ok.any():
+                    max_residual = max(max_residual, float(d[ok].max()))
+                for bad in pts[~ok][: max(0, 10 - len(wit_in))]:
+                    wit_in.append(bad)
+    sigma = float(np.linalg.norm(L.basis, axis=1).sum())
+    core = np.flatnonzero(S.norms() <= R - sigma)
+    found_out = 0
+    wit_out = []
+    if len(core):
+        core_pts = S.points[core]
+        best = np.full(len(core_pts), np.inf)
+        for f in F:
+            best = np.minimum(best, L.distance(core_pts - f))
+        ok = best <= tol_exact
+        found_out = int(ok.sum())
+        if ok.any():
+            max_residual = max(max_residual, float(best[ok].max()))
+        wit_out = list(core_pts[~ok][:10])
+    return dict(
+        coverage_in=found_in / checked_in if checked_in else 1.0,
+        coverage_out=found_out / len(core) if len(core) else 1.0,
+        max_residual=max_residual,
+        checked_in=checked_in,
+        checked_out=len(core),
+        witnesses_in=np.array(wit_in).reshape(-1, S.dim).tobytes(),
+        witnesses_out=np.array(wit_out).reshape(-1, S.dim).tobytes(),
+    )
+
+
+def _verify_fields(dec):
+    return dict(
+        coverage_in=dec.coverage_in,
+        coverage_out=dec.coverage_out,
+        max_residual=dec.max_residual,
+        checked_in=dec.checked_in,
+        checked_out=dec.checked_out,
+        witnesses_in=dec.witnesses_in.tobytes(),
+        witnesses_out=dec.witnesses_out.tobytes(),
+    )
+
+
+def _verify_parity_cases():
+    rng = np.random.default_rng(11)
+    line_B, line_F = [[2.0]], [[0.0], [0.5]]
+    plane_B = [[1.0, 0.0], [0.3, 1.1]]
+    plane_F = [[0.0, 0.0], [0.5, 0.55]]
+    cube_B = [[1.0, 0.1, 0.0], [0.2, 1.3, 0.0], [0.1, 0.4, 0.9]]
+    line = gen_ideal_crystal(line_B, line_F, 30.0)
+    plane = gen_ideal_crystal(plane_B, plane_F, 12.0)
+    cube = gen_ideal_crystal(cube_B, [[0.0, 0.0, 0.0]], 6.0)
+
+    # 14 holes: more in-witnesses than the ten kept, so order matters
+    holes = rng.choice(len(plane), size=14, replace=False)
+    holed = WindowedSet(np.delete(plane.points, holes, axis=0), plane.radius)
+    # off-lattice extras, one sharing a cell key with a lattice point
+    extras = np.array([[0.25, 0.3], [3.45, -2.2], [-5.1, 4.05],
+                       [1.0 + 0.2, 0.0]])
+    extra = WindowedSet(np.concatenate([plane.points, extras]), plane.radius)
+    # a lattice point replaced by a near miss (1.5 tol) in its cell, one
+    # nudged diagonally to 0.85 tol (a hit with that residual), one missing
+    # with an off-lattice point in its cell (shared key, no hit)
+    pts = plane.points.copy()
+    tol = TOL_EXACT
+    order = np.argsort(np.linalg.norm(pts, axis=1))
+    pts[order[3]] += [1.5 * tol, 0.0]
+    pts[order[7]] += [0.6 * tol, 0.6 * tol]
+    pts[order[11]] += [0.2, 0.1]
+    nudged = WindowedSet(pts, plane.radius)
+    # two window points in one cell: the nearer decides
+    both = WindowedSet(np.concatenate([plane.points,
+                                       plane.points[order[5]][None] + 0.05]),
+                       plane.radius)
+    # every point off by up to 0.4 tol per coordinate: generic residuals
+    jitter = WindowedSet(
+        plane.points + rng.uniform(-0.4, 0.4, plane.points.shape) * tol,
+        plane.radius + tol)
+    cube_holed = WindowedSet(np.delete(cube.points, [0, 17, 300], axis=0),
+                             cube.radius)
+    return [
+        ("p1-line", line, line_B, line_F),
+        ("p1-one-residue", line, line_B, line_F[:1]),
+        ("p2-plane", plane, plane_B, plane_F),
+        ("p2-wrong-residue", plane, plane_B, [[0.0, 0.0], [0.25, 0.5]]),
+        ("p2-holes", holed, plane_B, plane_F),
+        ("p2-extras", extra, plane_B, plane_F),
+        ("p2-past-tol", nudged, plane_B, plane_F),
+        ("p2-shared-key", both, plane_B, plane_F),
+        ("p2-jitter", jitter, plane_B, plane_F),
+        ("p3-cube", cube, cube_B, [[0.0, 0.0, 0.0]]),
+        ("p3-holes", cube_holed, cube_B, [[0.0, 0.0, 0.0]]),
+    ]
+
+
+@pytest.mark.parametrize("name,S,B,F", _verify_parity_cases(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_verify_matches_kd_reference(name, S, B, F):
+    L = build_lattice(B)
+    got = _verify_fields(verify_decomposition(S, L, F))
+    assert got == _reference_verify_decomposition(S, L, F), name
+
+
+def test_verify_parity_cases_cover_every_outcome():
+    seen = {}
+    for name, S, B, F in _verify_parity_cases():
+        dec = verify_decomposition(S, build_lattice(B), F)
+        seen[name] = dec
+    assert seen["p2-plane"].verified and seen["p3-cube"].verified
+    assert len(seen["p2-holes"].witnesses_in) == 10
+    assert len(seen["p2-extras"].witnesses_out) > 0
+    assert len(seen["p2-past-tol"].witnesses_in) == 2
+    assert 0.8 * TOL_EXACT < seen["p2-past-tol"].max_residual <= TOL_EXACT
+    assert seen["p2-shared-key"].coverage_in == 1.0
+    assert seen["p2-jitter"].verified
+    assert 0.2 * TOL_EXACT < seen["p2-jitter"].max_residual < 0.6 * TOL_EXACT
+
+
+def test_verify_refuses_tolerance_past_half_cell():
+    S = disc_lattice(5.0)
+    with pytest.raises(ConfigError):
+        verify_decomposition(S, build_lattice(np.eye(2)), [[0.0, 0.0]],
+                             tol_exact=0.5)
+    verify_decomposition(S, build_lattice(np.eye(2)), [[0.0, 0.0]],
+                         tol_exact=0.49)
+    # the same 1e-8 tolerance against a lattice of spacing 1e-8
+    tiny = WindowedSet(disc_lattice(5.0).points * 1e-8, 5e-8)
+    with pytest.raises(ConfigError):
+        verify_decomposition(tiny, build_lattice(np.eye(2) * 1e-8),
+                             [[0.0, 0.0]])
+
+
+def test_verify_refuses_key_range_past_int64():
+    S = WindowedSet(np.zeros((1, 3)), 1e7)
+    with pytest.raises(ConfigError, match="int64"):
+        verify_decomposition(S, build_lattice(np.eye(3)), [[0.0, 0.0, 0.0]])
 
 
 # -- recover_crystal ---------------------------------------------------------------

@@ -129,6 +129,125 @@ def test_bad_cutoff():
         difference_vectors(integer_line(-2, 2), 0.0)
 
 
+# reference: the one-pass form of difference_vectors, with a sign pass over
+# every pair, one lexsort of all cells and first members by minimum.at
+
+
+def _reference_normalize_signs(vecs):
+    out = vecs.copy()
+    big = np.abs(out) > TOL_EQ
+    has = big.any(axis=1)
+    lead = out[np.arange(len(out)), np.argmax(big, axis=1)]
+    flip = has & (lead < 0)
+    for i in np.flatnonzero(~has):
+        nz = np.flatnonzero(out[i])
+        if len(nz) and out[i, nz[0]] < 0:
+            flip[i] = True
+    out[flip] = -out[flip]
+    return out
+
+
+def _reference_difference_vectors(S, cutoff):
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
+
+    from idealcrystal.geometry import DifferenceSet
+    from idealcrystal.pointset import _canonical_order
+
+    n = len(S)
+    pairs = S.tree().query_pairs(cutoff + TOL_EQ, output_type="ndarray")
+    zero = np.zeros((1, S.dim))
+    if len(pairs) == 0:
+        return DifferenceSet(zero, np.array([n]), cutoff)
+    raw = S.points[pairs[:, 0]] - S.points[pairs[:, 1]]
+    norm = _reference_normalize_signs(raw)
+    m = len(norm)
+    cells = np.round(norm / TOL_EQ).astype(np.int64)
+    order = np.lexsort(cells.T)
+    sc = cells[order]
+    new = np.empty(m, dtype=bool)
+    new[0] = True
+    np.any(sc[1:] != sc[:-1], axis=1, out=new[1:])
+    gid_sorted = np.cumsum(new) - 1
+    inverse = np.empty(m, dtype=np.intp)
+    inverse[order] = gid_sorted
+    cell_count = np.bincount(gid_sorted)
+    k = len(cell_count)
+    first_idx = np.full(k, m, dtype=np.intp)
+    np.minimum.at(first_idx, inverse, np.arange(m, dtype=np.intp))
+    cell_reps = norm[first_idx]
+    merge_r = (1.0 + float(np.sqrt(S.dim))) * TOL_EQ
+    close = cKDTree(cell_reps).query_pairs(merge_r, output_type="ndarray")
+    if len(close):
+        graph = sp.coo_matrix(
+            (np.ones(len(close)), (close[:, 0], close[:, 1])), shape=(k, k)
+        )
+        ncomp, labels = connected_components(graph, directed=False)
+    else:
+        ncomp, labels = k, np.arange(k)
+    comp_count = np.zeros(ncomp, dtype=np.int64)
+    np.add.at(comp_count, labels, cell_count)
+    rep_order = _canonical_order(cell_reps)
+    rep_rank = np.empty(k, dtype=np.intp)
+    rep_rank[rep_order] = np.arange(k)
+    comp_best = np.full(ncomp, k, dtype=np.intp)
+    np.minimum.at(comp_best, labels, rep_rank)
+    reps = cell_reps[rep_order[comp_best]]
+    vecs = np.concatenate([reps, -reps, zero])
+    cnts = np.concatenate([comp_count, comp_count, [n]])
+    order = _canonical_order(vecs)
+    return DifferenceSet(np.ascontiguousarray(vecs[order]), cnts[order], cutoff)
+
+
+def _parity_cases():
+    from idealcrystal import gen_ideal_crystal
+
+    rng = np.random.default_rng(5)
+    return [
+        # axis-aligned: rows led by a zero first coordinate take the
+        # general sign pass
+        ("square", disc_lattice(6.0), 2.5),
+        ("line", integer_line(-12, 12), 3.5),
+        ("two-coset-line", two_coset_line(), 2.0),
+        ("plane", gen_ideal_crystal([[1.0, 0.0], [0.3, 1.1]],
+                                    [[0.0, 0.0], [0.5, 0.55]], 9.0), 3.0),
+        ("cubic", gen_ideal_crystal(np.eye(3), [[0.0, 0.0, 0.0]], 4.5), 2.2),
+        ("skew-3d", gen_ideal_crystal([[1.0, 0.1, 0.0], [0.2, 1.3, 0.0],
+                                       [0.1, 0.4, 0.9]],
+                                      [[0.0, 0.0, 0.0]], 4.0), 2.0),
+        ("random", WindowedSet(rng.uniform(-5, 5, size=(60, 2))), 3.0),
+    ]
+
+
+def _same_difference_set(V, W):
+    return (V.vectors.tobytes() == W.vectors.tobytes()
+            and V.vectors.shape == W.vectors.shape
+            and V.counts.tolist() == W.counts.tolist()
+            and V.cutoff == W.cutoff)
+
+
+@pytest.mark.parametrize("block", [None, 1, 3, 64])
+def test_difference_vectors_match_reference(block, monkeypatch):
+    from idealcrystal import geometry
+
+    if block is not None:
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+    for name, S, cutoff in _parity_cases():
+        V = difference_vectors(S, cutoff)
+        W = _reference_difference_vectors(S, cutoff)
+        assert _same_difference_set(V, W), (name, block)
+
+
+def test_difference_vectors_keep_signed_zeros():
+    # (0, -1) differences flip to (-0.0, 1.0) in the reference; a_j - a_i
+    # would give (+0.0, 1.0), equal as numbers but not as bytes
+    V = difference_vectors(disc_lattice(3.0), 1.5)
+    W = _reference_difference_vectors(disc_lattice(3.0), 1.5)
+    assert np.signbit(W.vectors[:, 0]).any()
+    assert V.vectors.tobytes() == W.vectors.tobytes()
+
+
 # -- denseness_radius ---------------------------------------------------------
 
 

@@ -164,6 +164,16 @@ def test_csv_nonfinite():
         load_points("nan\n1.0\n")
 
 
+def test_non_utf8_input_is_a_parse_error():
+    import io
+
+    for source in (b"1.0\n\xff\n", io.BytesIO(b"\xff1.0\n"),
+                   io.TextIOWrapper(io.BytesIO(b"1.0\n\xe9\n"), "utf-8")):
+        with pytest.raises(ParseError, match="UTF-8"):
+            load_points(source)
+    assert len(load_points("1.0\n2.0\n".encode())) == 2
+
+
 # -- json --------------------------------------------------------------------
 
 
