@@ -310,29 +310,14 @@ def snap_to_period(
     )
 
 
-def _first_failure(
-    S: WindowedSet, core_pts: np.ndarray, T: np.ndarray, tol_exact: float
-):
-    """Index of the first core point (canonical order) not translated into
-    S by T, or -1. Vectorized nearest-neighbour scan."""
-    d, _ = S.tree().query(
-        core_pts + T, k=1, distance_upper_bound=tol_exact * (1 + 1e-9),
-        workers=query_workers(),
-    )
-    bad = d > tol_exact
-    if not bad.any():
-        return -1
-    return int(np.argmax(bad))
-
-
 def verify_exact_period(S: WindowedSet, T, tol_exact: float = TOL_EXACT):
     """Check that T translates every core point back into the window.
 
     Core = {a : |a| <= R - |T| - tol_exact}. Success returns the verified
     radius R - |T| - tol_exact; failure returns a FailureWitness carrying
-    the first offending point in canonical order. A sparse probe pass
-    rejects bad candidates early; the witness is still taken from the
-    prefix scan so the canonical-order contract holds.
+    the first offending point in canonical order, from one query over the
+    whole core (recover_crystal's batched probe pass rejects most
+    non-periods before they get here).
     """
     T = np.asarray(T, dtype=np.float64).reshape(-1)
     if len(T) != S.dim:
@@ -348,32 +333,13 @@ def verify_exact_period(S: WindowedSet, T, tol_exact: float = TOL_EXACT):
     core = _core_indices(S, margin)
     if len(core) == 0:
         raise WindowTooSmall("no core points survive the |T| margin")
-    m = len(core)
-
-    # rows are gathered only as far as a scan needs them, so a candidate the
-    # probes reject never copies the whole core
-    if m > 64:
-        probes = np.unique(np.linspace(0, m - 1, 32).astype(np.intp))
-        d, _ = S.tree().query(
-            S.points[core[probes]] + T, k=1,
-            distance_upper_bound=tol_exact * (1 + 1e-9),
-            workers=query_workers(),
-        )
-        bad = d > tol_exact
-        if bad.any():
-            # some offender exists at or before the first bad probe; scan
-            # that prefix to return the canonical-order witness
-            limit = int(probes[np.argmax(bad)])
-            first = _first_failure(S, S.points[core[: limit + 1]], T, tol_exact)
-            if first >= 0:
-                return _witness(S, S.points[core[first]], T)
-
-    first = _first_failure(S, S.points[core], T, tol_exact)
-    if first >= 0:
-        return _witness(S, S.points[core[first]], T)
-    return float(S.radius - margin)
-
-
-def _witness(S: WindowedSet, point: np.ndarray, T: np.ndarray) -> FailureWitness:
+    d, _ = S.tree().query(
+        S.points[core] + T, k=1, distance_upper_bound=tol_exact * (1 + 1e-9),
+        workers=query_workers(),
+    )
+    bad = d > tol_exact
+    if not bad.any():
+        return float(S.radius - margin)
+    point = S.points[core[int(np.argmax(bad))]]
     d, _ = S.tree().query(point + T, k=1)
     return FailureWitness(point=_frozen(point), T=_frozen(T), distance=float(d))

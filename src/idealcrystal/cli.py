@@ -39,7 +39,10 @@ def _parse_vector(text: str) -> list[float]:
 
 
 def _parse_matrix(text: str) -> list[list[float]]:
-    return [_parse_vector(row) for row in text.split(";") if row.strip()]
+    rows = [_parse_vector(row) for row in text.split(";") if row.strip()]
+    if len({len(r) for r in rows}) > 1:
+        raise IdealCrystalError(f"rows of {text!r} differ in length")
+    return rows
 
 
 def _write_atomic(path: str, data: str) -> None:
@@ -92,8 +95,8 @@ def _add_config_flags(sub) -> None:
 def _add_generator_flags(sub) -> None:
     sub.add_argument("--basis", default="1",
                      help="semicolon-separated rows, e.g. '1,0;0.2,1.1'")
-    sub.add_argument("--residues", default="0",
-                     help="semicolon-separated points, e.g. '0,0;0.31,0.4'")
+    sub.add_argument("--residues", default=None,
+                     help="semicolon-separated points (default the origin)")
     sub.add_argument("--amplitude", type=float, default=0.1)
     sub.add_argument("--freqs", default=None,
                      help="comma-separated frequency components")
@@ -119,7 +122,8 @@ def _generate(args):
     kind = args.kind
     if kind == "crystal":
         basis = _parse_matrix(args.basis)
-        F = _parse_matrix(args.residues)
+        F = (_parse_matrix(args.residues) if args.residues is not None
+             else [[0.0] * len(basis)])
         S = gen_ideal_crystal(basis, F, args.radius)
         spec = {"kind": kind, "basis": basis, "residues": F,
                 "radius": args.radius}

@@ -3,12 +3,12 @@
 The pipeline mirrors the constructive argument: measure the denseness
 radius and the difference-set gap, harvest candidate translations as the
 differences c - a from one anchor a near the origin (a period T with
-|T| <= r maps a onto a window point), send each straight to exact
-verification on a subwindow core and keep the ones that pass, select p
-independent periods (cone condition or shortest-independent greedy),
-close the period collection into a lattice by rational refinement, cut
-residues near the origin, and verify both inclusions of A = L + F on the
-window.
+|T| <= r maps a onto a window point), reject most with one batched probe
+pass per ladder step and keep the rest that pass exact verification on a
+subwindow core, select p independent periods (cone condition or
+shortest-independent greedy), close them into a lattice by rational
+refinement, cut residues near the origin, and verify both inclusions of
+A = L + F on the window.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._util import query_workers
 from .almost_period import (
     TOL_EXACT,
     Period,
@@ -37,8 +38,8 @@ from .errors import (
     SingularBasis,
     WindowTooSmall,
 )
-# is_almost_period and difference_vectors are not called here (snap_to_period
-# runs the only period check, finite_type_gap the only pair sweep); the
+# is_almost_period and difference_vectors are not called here (the probe pass
+# and snap_to_period check periods, finite_type_gap sweeps pairs); the
 # benchmark tracer (perfbench/spans.py) wraps both under this module
 from .almost_period import is_almost_period  # noqa: F401
 from .geometry import (  # noqa: F401
@@ -57,12 +58,9 @@ COORD_TOL = 1e-6
 #: concentric subwindow.
 _SUBWINDOW_CAP = 60000
 
-#: Hard cap on candidate translations tested per run. Every anchor
-#: difference is a candidate and each check queries a core that grows
-#: with the window, so a set with no periods costs time quadratic in it;
-#: past this many shortest candidates with no verified period the verdict
-#: cannot change, and the cap is recorded in the diagnostics.
-_MAX_CANDIDATES = 20000
+#: Subwindow points nearest the origin that each ladder step's probe pass
+#: translates by every candidate.
+_PROBES = 32
 
 #: Target for points-times-neighbours in the finite-type gap's pair sweep.
 _PAIR_BUDGET = 4_000_000
@@ -83,12 +81,14 @@ def cone_filter(vectors, j: int, p: int, scale: float = 1.0) -> np.ndarray:
     if not scale > 0:
         raise ConfigError("scale must be positive")
     vecs = np.asarray(vectors, dtype=np.float64).reshape(-1, p)
-    if len(vecs) == 0:
-        return vecs
+    return vecs[_cone_mask(vecs, j, p, scale)]
+
+
+def _cone_mask(vecs: np.ndarray, j: int, p: int, scale: float) -> np.ndarray:
+    """Row mask of cone_filter for validated arguments."""
     norms = np.linalg.norm(vecs, axis=1)
     axis = np.abs(vecs[:, j - 1])
-    keep = (norms > scale * 3 * p * p) & (norms < (1 + 0.25 / (p * p)) * axis)
-    return vecs[keep]
+    return (norms > scale * 3 * p * p) & (norms < (1 + 0.25 / (p * p)) * axis)
 
 
 def dominance_check(T, j: int, p: int) -> bool:
@@ -613,6 +613,35 @@ def _screen_source(S: WindowedSet, r_cur: float) -> WindowedSet:
         return S
 
 
+def _probe_rejections(S: WindowedSet, cands: np.ndarray,
+                      tol_exact: float) -> np.ndarray:
+    """Mask of the candidates that some probe, in one query, proves are no
+    period of S.
+
+    The probes are the _PROBES points of S nearest the origin. A probe x
+    counts for v only in the core of the exact check, |x| <= R - |v| -
+    tol_exact; if x + v has no point of S within tol_exact there,
+    verify_exact_period(S, v) fails too. A probe can only reject.
+    """
+    out = np.zeros(len(cands), dtype=bool)
+    probes = (np.argpartition(S.norms(), _PROBES)[:_PROBES]
+              if len(S) > _PROBES else np.arange(len(S)))
+    reach = S.radius - (np.linalg.norm(cands, axis=1) + tol_exact)
+    # the relative slack keeps out a probe that rounding could place on the
+    # other side of the exact check's own core bound
+    rows, cols = np.nonzero(
+        S.norms()[probes] <= reach[:, None] - 1e-12 * S.radius
+    )
+    if len(rows):  # else build no subwindow tree the step may not need
+        d, _ = S.tree().query(
+            S.points[probes[cols]] + cands[rows], k=1,
+            distance_upper_bound=tol_exact * (1 + 1e-9),
+            workers=query_workers(),
+        )
+        out[rows[d > tol_exact]] = True
+    return out
+
+
 def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
     """Full recovery pipeline; CrystalDecomposition or NoCrystalEvidence.
 
@@ -623,11 +652,13 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
     anchor difference is already the vector an almost period would snap
     to). A candidate within epsilon/2 of the provisional lattice is
     skipped unless it lies in the cone of a paper-cone axis that still has
-    no period. Candidate radii escalate (doubling from 4D up to R/2) until
-    the swept annulus covers the covering radius of the refined basis (any
-    period missing from the group would have a coset representative that
-    short), so a skewed or composite period group is closed before the
-    verdict. An explicit r_max disables escalation.
+    no period. Each step first probes the other candidates in one batched
+    query (_probe_rejections); only those no probe rejects get the full scan.
+    Candidate radii escalate (doubling from 4D up to R/2) until the swept
+    annulus covers the covering radius of the refined basis (any period
+    missing from the group would have a coset representative that short),
+    so a skewed or composite period group is closed before the verdict. An
+    explicit r_max disables escalation.
     """
     cfg = (config or RunConfig()).validate()
     diag: dict = {"strategy": cfg.strategy, "n_points": len(S)}
@@ -707,7 +738,6 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
     n_candidates = 0
     best_failure: NoCrystalEvidence | None = None
     success: CrystalDecomposition | None = None
-    capped = False
     # paper-cone needs a verified period inside every axis cone; these are
     # the axes whose cone has none yet
     axes_missing: set = (
@@ -716,30 +746,31 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
     )
 
     for step, r_cur in enumerate(ladder):
-        if capped:
-            break
         diag["r_max_reached"] = r_cur
         diag["ladder_steps"] = step + 1
         cands = harvest[step_of == step]
         scr = _screen_source(S, r_cur)
+        # a candidate already inside the recovered period group cannot
+        # refine it; it can only fill a still-empty axis cone. The probe
+        # pass leaves those to the skip below, run as the lattice grows
+        probe = (lat_prov.distance(cands) >= eps / 2 if lat_prov is not None
+                 else np.ones(len(cands), dtype=bool))
+        rejected = np.zeros(len(cands), dtype=bool)
+        rejected[probe] = _probe_rejections(scr, cands[probe], cfg.tol_exact)
+        in_cone = {j: _cone_mask(cands, j, p, cfg.cone_scale)
+                   for j in axes_missing}
         grew = False
-        for v in cands:
-            if n_candidates >= _MAX_CANDIDATES:
-                capped = True
-                diag["candidates_capped"] = True
-                break
+        for i, v in enumerate(cands):
             n_candidates += 1
-            # a candidate already inside the recovered period group cannot
-            # refine it; it can only fill a still-empty axis cone
+            if rejected[i]:
+                continue
             if lat_prov is not None and float(lat_prov.distance(v)) < eps / 2:
-                if not any(len(cone_filter(v[None], j, p, cfg.cone_scale))
-                           for j in axes_missing):
+                if not any(in_cone[j][i] for j in axes_missing):
                     continue
             # verify against a subwindow: translation symmetry of the full
             # window restricts to any concentric subwindow, so a rejection
             # here is final, and the decomposition check at the end still
-            # runs on the full window. Snapping an anchor difference returns
-            # it unchanged; the probe pass of the exact check rejects early.
+            # runs on the full window.
             try:
                 P = snap_to_period(scr, v, eps, cfg.tol_exact)
             except (NoSnapTarget, AmbiguousSnap, NotExactPeriod,
@@ -748,10 +779,8 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
             if float(np.linalg.norm(P.T)) <= 2 * TOL_EQ:
                 continue
             periods.append(P)
-            for j in tuple(axes_missing):
-                if len(cone_filter(np.asarray(P.T)[None], j, p,
-                                   cfg.cone_scale)):
-                    axes_missing.discard(j)
+            # snapping an anchor difference returns it bit for bit: P.T is v
+            axes_missing -= {j for j in axes_missing if in_cone[j][i]}
             grew = True
             if lat_prov is None:
                 basis = _greedy_basis(_sorted_period_vectors(periods), p)
@@ -774,8 +803,6 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
 
         basis, why = _select_basis(periods, p, cfg)
         if basis is None:
-            if capped:
-                why += f" among the {_MAX_CANDIDATES} shortest candidates"
             best_failure = NoCrystalEvidence(
                 stage="period-verification" if not periods else "basis-selection",
                 reason=why,

@@ -53,7 +53,9 @@ def gen_ideal_crystal(basis, F, R: float, label: str = "") -> WindowedSet:
     """All points t + f with t in the lattice of basis, f in F, |t+f| <= R."""
     B, inv = _basis_and_inverse(basis)
     p = B.shape[0]
-    F = np.asarray(F, dtype=np.float64).reshape(-1, p)
+    F = np.asarray(F, dtype=np.float64)
+    if F.ndim != 2 or F.shape[1] != p:
+        raise ConfigError(f"residues need shape (k, {p}), got {F.shape}")
     if len(F) == 0:
         raise ConfigError("residue set F must not be empty")
     R = float(R)

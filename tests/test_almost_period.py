@@ -294,7 +294,7 @@ def test_verify_failure_witness_canonical():
 
 
 def test_verify_witness_on_small_core():
-    # below the probe threshold the plain scan must give the same witness
+    # a small core gives the same canonical-order witness
     S = two_coset_even(R=20.0)
     out = verify_exact_period(S, [1.0], 1e-8)
     assert isinstance(out, FailureWitness)
@@ -304,8 +304,8 @@ def test_verify_witness_on_small_core():
 def test_verify_matches_plain_scan():
     # reference: every core point in canonical order, one at a time; with
     # the column x = 3 missing, the offenders of a unit shift form a block
-    # mid-core that a probe lands inside, so the witness must come from
-    # the prefix scan, not from the probe that failed
+    # mid-core, and the witness must be the first of them in canonical
+    # order, not any other offender
     g = np.arange(-12.0, 13.0)
     pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
     pts = pts[(np.linalg.norm(pts, axis=1) <= 12.0) & (pts[:, 0] != 3.0)]

@@ -43,6 +43,24 @@ def test_generate_to_stdout_csv():
     assert "generated" in r.stderr
 
 
+def test_generate_crystal_residues_default_to_origin():
+    r = run("generate", "crystal", "--basis", "1,0;0,1", "--radius", "3",
+            "--format", "json")
+    assert r.returncode == 0
+    doc = json.loads(r.stdout)
+    assert doc["generator"]["residues"] == [[0.0, 0.0]]
+    assert len(doc["points"]) == 29
+
+
+@pytest.mark.parametrize("residues", ["0", "0,0;0.5"])
+def test_generate_crystal_residue_width_mismatch_exits_1(residues):
+    r = run("generate", "crystal", "--basis", "1,0;0,1", "--residues",
+            residues, "--radius", "3")
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stderr
+
+
 def test_generate_json_with_metadata(tmp_path):
     out = tmp_path / "set.json"
     r = run("generate", "poisson", "--intensity", "1", "--radius", "30",

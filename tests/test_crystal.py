@@ -7,24 +7,30 @@ end-to-end cases round-trip through the generators.
 import numpy as np
 import pytest
 
+import idealcrystal.crystal as crystal_mod
 from idealcrystal import (
     ConfigError,
     CrystalDecomposition,
+    FailureWitness,
     NoCrystalEvidence,
     SingularBasis,
     WindowTooSmall,
     WindowedSet,
     build_lattice,
+    build_report,
+    canonical_json,
     cone_filter,
     dominance_check,
     gen_cut_and_project,
     gen_ideal_crystal,
+    gen_perturbed_lattice,
     gen_poisson,
     independence_det,
     recover_crystal,
     refine_lattice,
     residues,
     verify_decomposition,
+    verify_exact_period,
 )
 from idealcrystal.almost_period import TOL_EXACT, candidate_almost_periods
 from idealcrystal.config import RunConfig
@@ -616,6 +622,120 @@ def test_recover_poisson_negative():
         "period-verification",
         "candidate-generation",
     )
+
+
+# -- the batched probe pass of the candidate loop ------------------------------
+
+GOLDEN = (1 + np.sqrt(5.0)) / 2
+PLANE_B = [[1.0, 0.0], [0.3, 1.1]]
+PLANE_F = [[0.0, 0.0], [0.5, 0.55]]
+
+
+def _holed_plane(R=20.0):
+    """Two-coset plane with six points missing near the origin, where the
+    probes sit, and six anywhere."""
+    S = gen_ideal_crystal(PLANE_B, PLANE_F, R)
+    rng = np.random.default_rng(61)
+    near = rng.choice(np.flatnonzero(S.norms() <= 5.0), 6, replace=False)
+    anywhere = rng.choice(len(S), 6, replace=False)
+    return WindowedSet(np.delete(S.points, np.union1d(near, anywhere), axis=0),
+                       R)
+
+
+def _vacancy_plane(R=30.0):
+    """Two-coset plane minus the point nearest (0.85 R, 0)."""
+    S = gen_ideal_crystal(PLANE_B, PLANE_F, R)
+    k = int(np.argmin(np.linalg.norm(S.points - [0.85 * R, 0.0], axis=1)))
+    return WindowedSet(np.delete(S.points, k, axis=0), R)
+
+
+def _no_probe_rejects(S, cands, tol_exact):
+    return np.zeros(len(cands), dtype=bool)
+
+
+def test_probe_counts_only_core_points():
+    S = disc_lattice(6.0)
+    v = np.array([[5.0, 0.0]])
+    # the probes reach |x| = sqrt(10) and the outer ones land off the
+    # window, but only |x| <= 1 is in the core of the exact check for
+    # |v| = 5, and those all land on it
+    assert not crystal_mod._probe_rejections(S, v, 1e-8)[0]
+    assert isinstance(verify_exact_period(S, v[0], 1e-8), float)
+    # the same points claimed for a window of radius 100 put every probe in
+    # the core, and the outer ones reject
+    wide = WindowedSet(S.points, 100.0)
+    assert crystal_mod._probe_rejections(wide, v, 1e-8)[0]
+    assert isinstance(verify_exact_period(wide, v[0], 1e-8), FailureWitness)
+    holed = WindowedSet(S.points[~np.all(S.points == [2.0, 0.0], axis=1)], 6.0)
+    unit = np.array([[1.0, 0.0]])
+    assert crystal_mod._probe_rejections(holed, unit, 1e-8)[0]
+    assert isinstance(verify_exact_period(holed, unit[0], 1e-8), FailureWitness)
+
+
+@pytest.mark.parametrize("S", [
+    _holed_plane(),
+    gen_poisson(1.0, 30.0, seed=5, dim=2),
+    gen_cut_and_project(GOLDEN, (0.0, 1.0), 300.0),
+    _vacancy_plane(),
+], ids=["holed-plane", "poisson", "fibonacci", "vacancy-plane"])
+def test_probe_rejection_implies_exact_check_fails(S, monkeypatch):
+    # every candidate the probe pass rejects on a ladder step fails the exact
+    # check on that step's subwindow: a probe can only reject
+    seen = []
+    probe = crystal_mod._probe_rejections
+
+    def spy(scr, cands, tol_exact):
+        out = probe(scr, cands, tol_exact)
+        seen.append((scr, cands, out, tol_exact))
+        return out
+
+    monkeypatch.setattr(crystal_mod, "_probe_rejections", spy)
+    recover_crystal(S)
+    rejected = 0
+    for scr, cands, out, tol_exact in seen:
+        for v in cands[out]:
+            assert isinstance(verify_exact_period(scr, v, tol_exact),
+                              FailureWitness), v
+        rejected += int(out.sum())
+    assert rejected > 0
+
+
+def _report_text(S, cfg):
+    rep = build_report(recover_crystal(S, cfg), cfg)
+    rep.pop("timings_ms")
+    return canonical_json(rep)
+
+
+@pytest.mark.parametrize("S, cfg", [
+    (gen_cut_and_project(GOLDEN, (0.0, 1.0), 1000.0), RunConfig(r_max=500.0)),
+    (gen_perturbed_lattice([[1.0]], 0.1, [np.sqrt(2.0)], 400.0), RunConfig()),
+    (_vacancy_plane(), RunConfig()),
+    (gen_ideal_crystal(PLANE_B, PLANE_F, 30.0), RunConfig()),
+    (gen_ideal_crystal(_criterion6_basis(0), [[0.0, 0.0]], 62.0),
+     RunConfig(strategy="paper-cone")),
+], ids=["fibonacci", "perturbed-sqrt2", "vacancy-plane", "readme-plane",
+        "criterion6-seed0-cone"])
+def test_probe_pass_leaves_reports_unchanged(S, cfg, monkeypatch):
+    # with a probe pass that rejects nothing every candidate takes the full
+    # exact check; the report, timings aside, must not notice the difference
+    want = _report_text(S, cfg)
+    monkeypatch.setattr(crystal_mod, "_probe_rejections", _no_probe_rejects)
+    assert _report_text(S, cfg) == want
+
+
+def test_recover_checks_every_anchor_difference_past_20000():
+    # 49,999 points and 25,000 anchor differences up to R/2, more than the
+    # 20,000 shortest candidates recovery once stopped at; all are checked
+    S = gen_perturbed_lattice([[1.0]], 0.1, [np.sqrt(2.0)], 25_000.0)
+    assert len(S) == 49_999
+    out = recover_crystal(S)
+    assert isinstance(out, NoCrystalEvidence)
+    assert out.stage == "period-verification"
+    assert out.reason == "no verified periods"
+    a = S.points[int(np.argmin(S.norms()))]
+    d = np.linalg.norm(S.points - a, axis=1)
+    in_annulus = (d > 0) & (d >= out.diagnostics["r_min"]) & (d <= S.radius / 2)
+    assert out.diagnostics["n_candidates"] == int(in_annulus.sum()) == 25_000
 
 
 def test_config_validation():

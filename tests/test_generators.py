@@ -77,6 +77,11 @@ def test_crystal_argument_validation():
         gen_ideal_crystal([[1.0]], [[0.0]], -1.0)
     with pytest.raises(ConfigError):
         gen_ideal_crystal([[1.0, 0.0]], [[0.0]], 5.0)
+    # residues must have the basis dimension, not merely fill it when flat
+    with pytest.raises(ConfigError):
+        gen_ideal_crystal(np.eye(2), [[0.0]], 5.0)
+    with pytest.raises(ConfigError):
+        gen_ideal_crystal(np.eye(2), [0.0, 0.0], 5.0)
 
 
 def test_perturbed_zero_amplitude_is_crystal():
