@@ -1,12 +1,13 @@
 """
-Two ways to pick a basis from verified periods
-==============================================
+Two verdict gates on the verified periods
+=========================================
 
-greedy-det takes the shortest independent periods. paper-cone instead
-demands one period inside each axis cone {x : 12 < |x| < 1.0625 |x_j|}
-(for p = 2): membership makes the coordinate matrix diagonally dominant,
-which certifies independence without ever computing a determinant. Both
-routes close over all verified periods, so they land on the same group.
+Both strategies close the verified periods into one lattice, seeded by the
+shortest independent ones. greedy-det accepts it once the periods span p
+directions. paper-cone also demands one period inside each axis cone
+{x : 12 < |x| < 1.0625 |x_j|} (for p = 2): membership makes those periods'
+coordinate matrix diagonally dominant, which certifies independence without
+ever computing a determinant. Either way the run lands on the same group.
 """
 
 import numpy as np

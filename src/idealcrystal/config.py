@@ -3,7 +3,8 @@
 Fields left as None are resolved against the input window at run time:
 core_margin defaults to R/10, r_min to max(min_sep/2, 4 tol_exact), and
 r_max (when unset) enables the escalation ladder that widens the candidate
-annulus until a basis is found or R/2 is reached.
+annulus until it covers the covering radius of the recovered lattice, or
+R/2.
 """
 
 from __future__ import annotations

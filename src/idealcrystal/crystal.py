@@ -5,10 +5,12 @@ radius and the difference-set gap, harvest candidate translations as the
 differences c - a from one anchor a near the origin (a period T with
 |T| <= r maps a onto a window point), reject most with one batched probe
 pass per ladder step and keep the rest that pass exact verification on a
-subwindow core, select p independent periods (cone condition or
-shortest-independent greedy), close them into a lattice by rational
-refinement, cut residues near the origin, and verify both inclusions of
-A = L + F on the window.
+subwindow core. The verified periods are closed into one running lattice by
+rational refinement, seeded by the shortest independent ones once they span
+p directions. The strategy only gates the verdict: paper-cone also needs a
+verified period inside every axis cone, whose diagonal dominance certifies
+independence. Then residues are cut near the origin and both inclusions of
+A = L + F are verified on the window.
 """
 
 from __future__ import annotations
@@ -539,54 +541,22 @@ def _sorted_period_vectors(periods: list[Period]) -> list[np.ndarray]:
     return vecs
 
 
-def _select_basis(periods: list[Period], p: int, cfg: RunConfig):
-    """Pick p period vectors per the configured strategy.
+def _gap_source(S: WindowedSet, D: float) -> WindowedSet:
+    """Concentric subwindow the finite-type gap's pair sweep runs on, for
+    differences up to its cutoff D + 1, sized so points-times-neighbours
+    stays near _PAIR_BUDGET.
 
-    Returns (basis, None) on success or (None, reason) when the
-    collection cannot support a full-rank choice yet.
-    """
-    vecs = _sorted_period_vectors(periods)
-    if not vecs:
-        return None, "no verified periods"
-    if p == 1:
-        return np.array([vecs[0]]), None
-    if cfg.strategy == "paper-cone":
-        rows = []
-        for j in range(1, p + 1):
-            members = cone_filter(np.array(vecs), j, p, cfg.cone_scale)
-            if len(members) == 0:
-                return None, f"empty cone for axis {j}"
-            norms = np.linalg.norm(members, axis=1)
-            keys = tuple(members[:, k] for k in range(p - 1, -1, -1)) + (norms,)
-            rows.append(members[np.lexsort(keys)][0])
-        basis = np.array(rows)
-    else:
-        basis = _greedy_basis(vecs, p)
-        if basis is None:
-            return None, "verified periods do not span p directions"
-    det = independence_det(basis)
-    floor = 1e-6 * float(np.prod(np.linalg.norm(basis, axis=1)))
-    if not abs(det) > floor:
-        return None, f"selected basis is numerically singular (det {det:.3e})"
-    return basis, None
-
-
-def _harvest_source(S: WindowedSet, D: float, r_cur: float) -> WindowedSet:
-    """Concentric subwindow the finite-type gap's pair sweep for differences
-    up to r_cur runs on, sized so points-times-neighbours stays near
-    _PAIR_BUDGET. Candidate periods come from the anchor harvest instead, so
-    this serves only the gap.
-
-    A window of radius 0.6 r_cur + 4D still realizes every translation
-    symmetry of length up to r_cur near its centre (place the pair
-    astride the origin; relative denseness supplies the endpoints), so
-    shrinking below r_cur loses only location-specific differences.
+    A window of radius 0.6 (D + 1) + 4D still realizes every translation
+    symmetry of length up to D + 1 near its centre (place the pair astride
+    the origin; relative denseness supplies the endpoints), so shrinking
+    below the cutoff loses only location-specific differences.
     """
     n = len(S)
-    nbrs = max(1.0, n * min(r_cur / S.radius, 1.0) ** S.dim)
+    r_cut = D + 1.0
+    nbrs = max(1.0, n * min(r_cut / S.radius, 1.0) ** S.dim)
     if n <= _SUBWINDOW_CAP and n * nbrs / 2 <= _PAIR_BUDGET:
         return S
-    floor_r = 0.6 * r_cur + max(4.0 * D, 2.0)
+    floor_r = 0.6 * r_cut + max(4.0 * D, 2.0)
     n_budget = min(float(_SUBWINDOW_CAP), max(4000.0, 2.0 * _PAIR_BUDGET / nbrs))
     r_density = S.radius * (n_budget / n) ** (1.0 / S.dim)
     r = min(S.radius, max(floor_r, r_density))
@@ -642,6 +612,14 @@ def _probe_rejections(S: WindowedSet, cands: np.ndarray,
     return out
 
 
+def _near_lattice(L: Lattice | None, cands: np.ndarray,
+                  eps: float) -> np.ndarray:
+    """Mask of the candidates within eps/2 of L; none while there is no L."""
+    if L is None:
+        return np.zeros(len(cands), dtype=bool)
+    return L.distance(cands) < eps / 2
+
+
 def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
     """Full recovery pipeline; CrystalDecomposition or NoCrystalEvidence.
 
@@ -650,15 +628,20 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
     are harvested once up to the largest ladder radius and checked one
     annulus per step, each exactly once, by exact verification alone (an
     anchor difference is already the vector an almost period would snap
-    to). A candidate within epsilon/2 of the provisional lattice is
-    skipped unless it lies in the cone of a paper-cone axis that still has
-    no period. Each step first probes the other candidates in one batched
-    query (_probe_rejections); only those no probe rejects get the full scan.
-    Candidate radii escalate (doubling from 4D up to R/2) until the swept
-    annulus covers the covering radius of the refined basis (any period
-    missing from the group would have a coset representative that short),
-    so a skewed or composite period group is closed before the verdict. An
-    explicit r_max disables escalation.
+    to). The run keeps one lattice, the closure of the verified periods:
+    seeded by the shortest independent ones once they span p directions,
+    refined by each new one, and checked as it stands. A candidate within
+    epsilon/2 of it is skipped unless it lies in the cone of a paper-cone
+    axis that still has no period; both masks cover the whole step and are
+    redone after each verified period. Each step first probes the other
+    candidates in one batched query (_probe_rejections); only those no
+    probe rejects get the full scan. The strategy only gates the verdict
+    (paper-cone also needs a period in every axis cone). Candidate radii
+    escalate (doubling from 4D up to R/2) until the swept annulus covers the
+    covering radius of the lattice (any period missing from the group would
+    have a coset representative that short), so a skewed or composite
+    period group is closed before the verdict. An explicit r_max disables
+    escalation.
     """
     cfg = (config or RunConfig()).validate()
     diag: dict = {"strategy": cfg.strategy, "n_points": len(S)}
@@ -674,7 +657,7 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
     D = denseness_radius(S, margin)
     diag.update(D=D, core_margin=margin)
 
-    gap_src = _harvest_source(S, D, D + 1.0)
+    gap_src = _gap_source(S, D)
     try:
         gapinfo = finite_type_gap(gap_src, D)
     except DegenerateGap as e:
@@ -734,65 +717,68 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
                               np.linalg.norm(harvest, axis=1))
 
     periods: list[Period] = []
-    lat_prov: Lattice | None = None
+    # seeded by the shortest independent periods, not a cone basis: against
+    # a long cone basis the short periods would need denominators the size
+    # of the sublattice index, which the rational cap rightly refuses
+    lattice: Lattice | None = None
+    singular: str | None = None  # why the last seeding failed, if it did
     n_candidates = 0
     best_failure: NoCrystalEvidence | None = None
     success: CrystalDecomposition | None = None
-    # paper-cone needs a verified period inside every axis cone; these are
-    # the axes whose cone has none yet
-    axes_missing: set = (
-        set(range(1, p + 1)) if cfg.strategy == "paper-cone" and p >= 2
-        else set()
-    )
+    # paper-cone needs a verified period inside every axis cone; missing[j-1]
+    # marks the axes j whose cone has none yet
+    missing = np.full(p, cfg.strategy == "paper-cone" and p >= 2)
 
     for step, r_cur in enumerate(ladder):
         diag["r_max_reached"] = r_cur
         diag["ladder_steps"] = step + 1
         cands = harvest[step_of == step]
+        n_candidates += len(cands)
         scr = _screen_source(S, r_cur)
+        # cone[j-1] marks the candidates inside the cone of axis j
+        cone = np.array([_cone_mask(cands, j, p, cfg.cone_scale)
+                         for j in range(1, p + 1)])
         # a candidate already inside the recovered period group cannot
         # refine it; it can only fill a still-empty axis cone. The probe
-        # pass leaves those to the skip below, run as the lattice grows
-        probe = (lat_prov.distance(cands) >= eps / 2 if lat_prov is not None
-                 else np.ones(len(cands), dtype=bool))
+        # pass leaves those to the skip below, which is redone whenever the
+        # lattice or the empty cones change
+        near = _near_lattice(lattice, cands, eps)
         rejected = np.zeros(len(cands), dtype=bool)
-        rejected[probe] = _probe_rejections(scr, cands[probe], cfg.tol_exact)
-        in_cone = {j: _cone_mask(cands, j, p, cfg.cone_scale)
-                   for j in axes_missing}
+        rejected[~near] = _probe_rejections(scr, cands[~near], cfg.tol_exact)
+        skip = near & ~cone[missing].any(axis=0)
         grew = False
-        for i, v in enumerate(cands):
-            n_candidates += 1
-            if rejected[i]:
+        for i in np.flatnonzero(~rejected):
+            if skip[i]:
                 continue
-            if lat_prov is not None and float(lat_prov.distance(v)) < eps / 2:
-                if not any(in_cone[j][i] for j in axes_missing):
-                    continue
             # verify against a subwindow: translation symmetry of the full
             # window restricts to any concentric subwindow, so a rejection
             # here is final, and the decomposition check at the end still
             # runs on the full window.
             try:
-                P = snap_to_period(scr, v, eps, cfg.tol_exact)
+                P = snap_to_period(scr, cands[i], eps, cfg.tol_exact)
             except (NoSnapTarget, AmbiguousSnap, NotExactPeriod,
                     WindowTooSmall):
                 continue
             if float(np.linalg.norm(P.T)) <= 2 * TOL_EQ:
                 continue
             periods.append(P)
-            # snapping an anchor difference returns it bit for bit: P.T is v
-            axes_missing -= {j for j in axes_missing if in_cone[j][i]}
+            # snapping an anchor difference returns it bit for bit
+            missing &= ~cone[:, i]
             grew = True
-            if lat_prov is None:
+            if lattice is not None:
+                lattice = refine_lattice(lattice, [P], cfg.max_denominator)
+            else:
+                singular = None
                 basis = _greedy_basis(_sorted_period_vectors(periods), p)
                 if basis is not None:
                     try:
-                        lat_prov = refine_lattice(
+                        lattice = refine_lattice(
                             build_lattice(basis), periods, cfg.max_denominator
                         )
-                    except SingularBasis:
-                        lat_prov = None
-            else:
-                lat_prov = refine_lattice(lat_prov, [P], cfg.max_denominator)
+                    except SingularBasis as e:
+                        singular = str(e)
+            skip = (_near_lattice(lattice, cands, eps)
+                    & ~cone[missing].any(axis=0))
 
         diag["n_candidates"] = n_candidates
         diag["n_periods"] = len(periods)
@@ -801,40 +787,29 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
             # escalation found nothing new; the remembered verdict stands
             return success
 
-        basis, why = _select_basis(periods, p, cfg)
-        if basis is None:
+        if not periods:
+            why = "no verified periods"
+        elif missing.any():
+            why = f"empty cone for axis {int(np.argmax(missing)) + 1}"
+        elif lattice is None:
+            why = singular or "verified periods do not span p directions"
+        else:
+            why = None
+        if why is not None:
             best_failure = NoCrystalEvidence(
                 stage="period-verification" if not periods else "basis-selection",
                 reason=why,
                 diagnostics=dict(diag),
             )
             continue
-        # the strategy basis settles the verdict (cone emptiness fails a
-        # paper-cone run) but closure over all verified periods is seeded
-        # from the shortest independent rows: against a long cone basis the
-        # short periods would need coordinate denominators the size of the
-        # sublattice index, which the rational cap rightly refuses
-        seed = basis if cfg.strategy == "greedy-det" else (
-            _greedy_basis(_sorted_period_vectors(periods), p))
-        if seed is None:
-            seed = basis
         try:
-            L = refine_lattice(
-                build_lattice(seed), periods, cfg.max_denominator
-            )
-        except SingularBasis as e:
-            best_failure = NoCrystalEvidence(
-                stage="basis-selection", reason=str(e), diagnostics=dict(diag)
-            )
-            continue
-        try:
-            F = residues(S, L)
+            F = residues(S, lattice)
         except WindowTooSmall as e:
             best_failure = NoCrystalEvidence(
                 stage="residues", reason=str(e), diagnostics=dict(diag)
             )
             continue
-        dec = verify_decomposition(S, L, F, cfg.tol_exact)
+        dec = verify_decomposition(S, lattice, F, cfg.tol_exact)
         if dec.verified:
             dec = replace(
                 dec,
@@ -847,7 +822,7 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
             # sum; a period outside the recovered group would leave a coset
             # representative no longer than that, so sweeping this far
             # closes the group
-            cover = float(np.linalg.norm(L.basis, axis=1).sum()) / 2
+            cover = float(np.linalg.norm(lattice.basis, axis=1).sum()) / 2
             if r_cur >= min(cover, R / 2) or cfg.r_max is not None:
                 return dec
             success = dec

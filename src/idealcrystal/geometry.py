@@ -98,10 +98,18 @@ def difference_vectors(S: WindowedSet, cutoff: float) -> DifferenceSet:
     pair within the cutoff) plus a working set of _PAIR_BLOCK pairs. The
     difference rows are formed, sign-normalized and grouped onto the tol_eq
     grid one block at a time; only each block's distinct cells survive it.
+    Grid cells are int64, so a cutoff with cutoff + tol_eq of 2^63 tol_eq
+    or more raises DegenerateGap.
     """
     cutoff = float(cutoff)
     if cutoff <= 0:
         raise ConfigError("cutoff must be positive")
+    if (cutoff + TOL_EQ) / TOL_EQ >= 2.0 ** 63:
+        raise DegenerateGap(
+            f"cutoff {cutoff:.3e} spans 2^63 or more cells of tol_eq = "
+            f"{TOL_EQ:g}; difference vectors this long cannot be merged at "
+            "tol_eq"
+        )
 
     n = len(S)
     pairs = S.tree().query_pairs(cutoff + TOL_EQ, output_type="ndarray")

@@ -4,8 +4,11 @@ Fuzz loops construct inputs whose expected outcome is known analytically;
 end-to-end cases round-trip through the generators.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.stats import special_ortho_group
 
 import idealcrystal.crystal as crystal_mod
 from idealcrystal import (
@@ -584,7 +587,7 @@ def _criterion6_basis(seed):
 ], ids=["readme-plane", "criterion6-seed0"])
 def test_recover_paper_cone_keeps_only_cone_fillers(B, F, R):
     # with r_max = R/2 both strategies check the same harvest; once the
-    # provisional lattice exists, paper-cone keeps a candidate inside it only
+    # running lattice exists, paper-cone keeps a candidate inside it only
     # when it fills an empty axis cone, so at most p more periods than greedy
     S = gen_ideal_crystal(B, F, R)
     n = {}
@@ -624,11 +627,122 @@ def test_recover_poisson_negative():
     )
 
 
-# -- the batched probe pass of the candidate loop ------------------------------
+# -- the verdict gate and the running lattice ----------------------------------
 
 GOLDEN = (1 + np.sqrt(5.0)) / 2
 PLANE_B = [[1.0, 0.0], [0.3, 1.1]]
 PLANE_F = [[0.0, 0.0], [0.5, 0.55]]
+
+
+def _integers_by_fibonacci(R=30.0):
+    """Integer columns times Fibonacci rows: every period is some (k, 0)."""
+    rows = gen_cut_and_project(GOLDEN, (0.0, 1.0), 40.0).points[:, 0]
+    cols = np.arange(-40.0, 41.0)
+    pts = np.stack(np.meshgrid(cols, rows, indexing="ij"), -1).reshape(-1, 2)
+    return WindowedSet(pts[np.linalg.norm(pts, axis=1) <= R], R)
+
+
+@pytest.mark.parametrize("S, strategy, stage, reason, n_periods", [
+    (gen_cut_and_project(GOLDEN, (0.0, 1.0), 260.0), "greedy-det",
+     "period-verification", "no verified periods", 0),
+    (_integers_by_fibonacci(), "greedy-det",
+     "basis-selection", "verified periods do not span p directions", 30),
+    (_integers_by_fibonacci(), "paper-cone",
+     "basis-selection", "empty cone for axis 2", 30),
+], ids=["fibonacci", "one-direction-greedy", "one-direction-cone"])
+def test_recover_gate_reasons(S, strategy, stage, reason, n_periods):
+    # the periods (k, 0), |k| <= 15, span one direction and fill only the
+    # first axis cone (12 < |k|)
+    out = recover_crystal(S, RunConfig(strategy=strategy))
+    assert isinstance(out, NoCrystalEvidence)
+    assert (out.stage, out.reason) == (stage, reason)
+    assert out.diagnostics["n_periods"] == n_periods
+
+
+def test_recover_plane_past_int64_cells_is_staged():
+    # scaled by 1e12 the gap cutoff D + 1 spans ~1e21 tol_eq cells, past the
+    # int64 grid the difference set is grouped on: a staged verdict, not an
+    # out-of-range cast
+    S = gen_ideal_crystal(PLANE_B, PLANE_F, 30.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = recover_crystal(WindowedSet(S.points * 1e12, 30e12))
+    assert isinstance(out, NoCrystalEvidence)
+    assert out.stage == "finite-type-gap"
+    assert "cutoff" in out.reason and "tol_eq" in out.reason
+    # scaled by 1e9 the cutoff still fits the grid and the gap stage passes
+    # as before
+    out = recover_crystal(WindowedSet(S.points * 1e9, 30e9))
+    assert out.stage == "period-verification"
+    assert out.diagnostics["pair_count"] == 189
+
+
+def _criterion1_p3(seed):
+    """Criterion-1 recipe, p = 3 branch: rotated near-cubic basis, |F| = 1,
+    R = 40 * longest basis row."""
+    rng = np.random.default_rng(90_000 + seed)
+    Q = special_ortho_group.rvs(3, random_state=seed)
+    B = Q @ np.diag(rng.uniform(0.9, 1.1, 3))
+    return B, np.zeros((1, 3)), 40.0 * float(np.linalg.norm(B, axis=1).max())
+
+
+_CRYSTALS = pytest.mark.parametrize("B, F, R, strategy", [
+    (PLANE_B, PLANE_F, 30.0, "greedy-det"),
+    (PLANE_B, PLANE_F, 30.0, "paper-cone"),
+    (_criterion6_basis(0), [[0.0, 0.0]], 62.0, "paper-cone"),
+    (*_criterion1_p3(4), "greedy-det"),
+    ([[1.37]], [[0.0], [0.4247], [1.0549]], 400.0, "greedy-det"),
+], ids=["readme-plane-greedy", "readme-plane-cone", "criterion6-seed0-cone",
+        "criterion1-seed4-p3", "p1-three-residues"])
+
+
+def _greedy_closure(periods, p):
+    """The shortest independent periods, closed over all of them."""
+    seed = crystal_mod._greedy_basis(
+        crystal_mod._sorted_period_vectors(periods), p)
+    if seed is None:
+        return None
+    return refine_lattice(build_lattice(seed), periods, 64)
+
+
+@_CRYSTALS
+def test_recovered_lattice_is_the_greedy_seeded_closure(B, F, R, strategy):
+    # reference: the lattice rebuilt from scratch out of the verified
+    # periods, seeded by their shortest independent rows and closed over
+    # all of them; the running closure recovery keeps must equal it bit
+    # for bit
+    S = gen_ideal_crystal(B, F, R)
+    dec = recover_crystal(S, RunConfig(strategy=strategy))
+    assert dec.verified
+    ref = _greedy_closure(dec.periods, S.dim)
+    assert np.array_equal(dec.lattice.basis, ref.basis)
+    assert dec.lattice.det == ref.det
+
+
+@_CRYSTALS
+def test_each_verified_period_was_outside_the_running_lattice(B, F, R,
+                                                             strategy):
+    # replay the periods in the order they were verified: once the running
+    # lattice exists, a candidate within epsilon/2 of it is skipped unless it
+    # fills an empty axis cone, so no verified period is such a candidate
+    S = gen_ideal_crystal(B, F, R)
+    p = S.dim
+    dec = recover_crystal(S, RunConfig(strategy=strategy))
+    missing = set(range(1, p + 1)) if strategy == "paper-cone" else set()
+    L = None
+    for k, P in enumerate(dec.periods):
+        fills = {j for j in missing if len(cone_filter(P.T, j, p))}
+        if L is None:
+            L = _greedy_closure(dec.periods[:k + 1], p)
+        else:
+            assert fills or L.distance(P.T) >= dec.epsilon / 2, k
+            L = refine_lattice(L, [P], 64)
+        missing -= fills
+    assert not missing
+    assert np.array_equal(L.basis, dec.lattice.basis)
+
+
+# -- the batched probe pass of the candidate loop ------------------------------
 
 
 def _holed_plane(R=20.0):

@@ -129,6 +129,16 @@ def test_bad_cutoff():
         difference_vectors(integer_line(-2, 2), 0.0)
 
 
+def test_cutoff_past_int64_cells_raises():
+    # cells are integer multiples of tol_eq held in int64: a cutoff past
+    # 2^63 of them is refused before any cast
+    S = integer_line(-2, 2)
+    limit = 2.0 ** 63 * TOL_EQ
+    with pytest.raises(DegenerateGap, match="cutoff"):
+        difference_vectors(S, limit)
+    assert len(difference_vectors(S, limit / 2)) == 9
+
+
 # reference: the one-pass form of difference_vectors, with a sign pass over
 # every pair, one lexsort of all cells and first members by minimum.at
 
