@@ -56,16 +56,9 @@ log = logging.getLogger(__name__)
 #: Integrality tolerance for lattice coordinates.
 COORD_TOL = 1e-6
 
-#: Windows larger than this run the finite-type gap's pair sweep on a
-#: concentric subwindow.
-_SUBWINDOW_CAP = 60000
-
 #: Subwindow points nearest the origin that each ladder step's probe pass
 #: translates by every candidate.
 _PROBES = 32
-
-#: Target for points-times-neighbours in the finite-type gap's pair sweep.
-_PAIR_BUDGET = 4_000_000
 
 #: Minimal sine of the angle between a new greedy basis vector and the
 #: span of the ones already chosen.
@@ -75,14 +68,20 @@ _ANGLE_FLOOR = 0.02
 def cone_filter(vectors, j: int, p: int, scale: float = 1.0) -> np.ndarray:
     """Vectors x with scale*3p^2 < |x| < (1+(2p)^-2) |<x, e_j>|.
 
-    j is 1-based. scale shrinks only the lower radius bound; the angular
-    part is scale-free.
+    vectors is one p-vector or rows of p columns; j is 1-based. scale
+    shrinks only the lower radius bound; the angular part is scale-free.
     """
     if not 1 <= j <= p:
         raise ConfigError(f"axis j={j} out of range 1..{p}")
     if not scale > 0:
         raise ConfigError("scale must be positive")
-    vecs = np.asarray(vectors, dtype=np.float64).reshape(-1, p)
+    vecs = np.asarray(vectors, dtype=np.float64)
+    if vecs.shape == (p,):
+        vecs = vecs[None]
+    elif vecs.ndim != 2 or vecs.shape[1] != p:
+        raise ConfigError(
+            f"need one {p}-vector or rows of {p} columns, got shape {vecs.shape}"
+        )
     return vecs[_cone_mask(vecs, j, p, scale)]
 
 
@@ -542,37 +541,29 @@ def _sorted_period_vectors(periods: list[Period]) -> list[np.ndarray]:
 
 
 def _gap_source(S: WindowedSet, D: float) -> WindowedSet:
-    """Concentric subwindow the finite-type gap's pair sweep runs on, for
-    differences up to its cutoff D + 1, sized so points-times-neighbours
-    stays near _PAIR_BUDGET.
+    """Ball about the origin the finite-type gap's pair sweep runs on, of
+    radius r = |a| + 0.6 (D + 1) + max(4D, 2), a the window point nearest
+    the origin (the harvest's anchor); the whole window once r reaches R.
 
-    A window of radius 0.6 (D + 1) + 4D still realizes every translation
-    symmetry of length up to D + 1 near its centre (place the pair astride
-    the origin; relative denseness supplies the endpoints), so shrinking
-    below the cutoff loses only location-specific differences.
+    Finite type is local. A period v with |v| <= D + 1, the sweep's cutoff,
+    maps a to a + v and a - v, points of A of norm at most |a| + D + 1 < r
+    (0.6 (D + 1) + max(4D, 2) > D + 1 for D > 0). So (a, a + v) and
+    (a - v, a) realize v inside the ball, and shrinking the window to it
+    loses only differences tied to one location. The ball holds the
+    anchor, so an empty centre never empties it.
     """
-    n = len(S)
-    r_cut = D + 1.0
-    nbrs = max(1.0, n * min(r_cut / S.radius, 1.0) ** S.dim)
-    if n <= _SUBWINDOW_CAP and n * nbrs / 2 <= _PAIR_BUDGET:
-        return S
-    floor_r = 0.6 * r_cut + max(4.0 * D, 2.0)
-    n_budget = min(float(_SUBWINDOW_CAP), max(4000.0, 2.0 * _PAIR_BUDGET / nbrs))
-    r_density = S.radius * (n_budget / n) ** (1.0 / S.dim)
-    r = min(S.radius, max(floor_r, r_density))
+    r = float(S.norms().min()) + 0.6 * (D + 1.0) + max(4.0 * D, 2.0)
     if r >= S.radius * 0.999:
         return S
-    try:
-        return window_restrict(S, r)
-    except EmptyWindow:
-        return S
+    return window_restrict(S, r)
 
 
 def _screen_source(S: WindowedSet, r_cur: float) -> WindowedSet:
     """Concentric subwindow candidates are verified against.
 
-    No pair sweep runs here, only per-candidate neighbour queries, so the
-    only constraint is a core wide enough for |tau| up to r_cur.
+    No pair sweep runs here: each ladder step makes one batched probe query
+    (_probe_rejections) and exact checks on the candidates it leaves, so
+    the only constraint is a core wide enough for |tau| up to r_cur.
     """
     r = 2.2 * r_cur + 2.0
     if r >= S.radius * 0.999:

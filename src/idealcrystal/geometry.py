@@ -4,7 +4,10 @@ Two scalars drive everything downstream. D is the empirical relative
 denseness radius (every core point has a neighbour within D). g is the
 minimal distance between distinct difference vectors of length at most
 D+1; when g stays bounded away from zero the window looks finite-type,
-and the working tolerance is set to epsilon = min(1, g)/2.
+and the working tolerance is set to epsilon = min(1, g)/2. recover_crystal
+measures g on a ball about the origin of radius |a| + 0.6 (D+1) + max(4D, 2),
+a the window point nearest the origin, so the sweep's pair array is bounded
+by that ball, not by the window.
 """
 
 from __future__ import annotations
@@ -221,10 +224,12 @@ def finite_type_gap(S: WindowedSet, D: float) -> TypeGapReport:
     the difference set is not resolvably discrete and is reported as
     DegenerateGap rather than a number.
 
-    Memory: the sweep holds the O(pairs) index array of every pair within
-    D+1 and an O(_PAIR_BLOCK) working set (see difference_vectors). The
-    cutoff is an absolute length, so in small units the pair count, and
-    with it that array, grows as O(n^2).
+    Memory: the sweep holds the O(pairs) index array of every pair of S
+    within D+1 and an O(_PAIR_BLOCK) working set (see difference_vectors).
+    recover_crystal passes the ball of radius |a| + 0.6 (D+1) + max(4D, 2)
+    about the origin, which bounds that array. The cutoff is an absolute
+    length, so where the ball covers the whole window, as in small units,
+    the pair count, and with it that array, still grows as O(n^2).
     """
     D = float(D)
     if D <= 0:

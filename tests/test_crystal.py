@@ -23,7 +23,9 @@ from idealcrystal import (
     build_report,
     canonical_json,
     cone_filter,
+    denseness_radius,
     dominance_check,
+    finite_type_gap,
     gen_cut_and_project,
     gen_ideal_crystal,
     gen_perturbed_lattice,
@@ -85,6 +87,15 @@ def test_cone_filter_validation():
         cone_filter([[1.0, 0.0]], 3, 2)
     with pytest.raises(ConfigError):
         cone_filter([[1.0, 0.0]], 1, 2, scale=0.0)
+    # input of the wrong width is refused, not reshaped into rows that are
+    # not in the input
+    with pytest.raises(ConfigError):
+        cone_filter([[30.0, 1.0, 2.0], [4.0, 5.0, 6.0]], 1, 2)
+    with pytest.raises(ConfigError):
+        cone_filter([30.0, 1.0, 2.0, 4.0], 1, 2)
+    with pytest.raises(ConfigError):
+        cone_filter(np.zeros((1, 2, 2)), 1, 2)
+    assert cone_filter([13.0, 0.0], 1, 2).tolist() == [[13.0, 0.0]]
 
 
 def test_dominance_examples():
@@ -671,10 +682,14 @@ def test_recover_plane_past_int64_cells_is_staged():
     assert out.stage == "finite-type-gap"
     assert "cutoff" in out.reason and "tol_eq" in out.reason
     # scaled by 1e9 the cutoff still fits the grid and the gap stage passes
-    # as before
-    out = recover_crystal(WindowedSet(S.points * 1e9, 30e9))
+    # as before, on the gap's ball about the origin
+    S9 = WindowedSet(S.points * 1e9, 30e9)
+    out = recover_crystal(S9)
     assert out.stage == "period-verification"
-    assert out.diagnostics["pair_count"] == 189
+    D = out.diagnostics["D"]
+    sub = crystal_mod._gap_source(S9, D)
+    assert len(sub) < len(S9)
+    assert out.diagnostics["pair_count"] == finite_type_gap(sub, D).pair_count
 
 
 def _criterion1_p3(seed):
@@ -684,6 +699,53 @@ def _criterion1_p3(seed):
     Q = special_ortho_group.rvs(3, random_state=seed)
     B = Q @ np.diag(rng.uniform(0.9, 1.1, 3))
     return B, np.zeros((1, 3)), 40.0 * float(np.linalg.norm(B, axis=1).max())
+
+
+def _cubic(R):
+    g = np.arange(-np.ceil(R), np.ceil(R) + 1)
+    pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), -1).reshape(-1, 3)
+    return WindowedSet(pts[np.linalg.norm(pts, axis=1) <= R], R)
+
+
+def _rotated_p3(R):
+    B, F, _ = _criterion1_p3(4)
+    return gen_ideal_crystal(B, F, R)
+
+
+@pytest.mark.parametrize("window, keys", [
+    (_cubic, ("D", "gap", "epsilon", "pair_count")),
+    # D and min_sep (so epsilon) are extremes over the whole window and move
+    # in the last bits with it; the gap's ball holds the same points
+    (_rotated_p3, ("gap", "pair_count")),
+], ids=["cubic", "rotated"])
+def test_gap_diagnostics_do_not_depend_on_window_size(window, keys):
+    # the gap is swept on a ball about the origin sized by the anchor and D,
+    # so a window of over 10^5 points reports what one an eighth its size
+    # does
+    big, small = recover_crystal(window(30.0)), recover_crystal(window(15.0))
+    assert isinstance(big, CrystalDecomposition)
+    assert isinstance(small, CrystalDecomposition)
+    assert big.diagnostics["n_points"] > 100_000
+    for key in keys:
+        assert big.diagnostics[key] == small.diagnostics[key], key
+
+
+def test_gap_ball_holds_the_anchor_around_an_empty_centre():
+    # the square lattice at R = 20 without the disc |x| <= 8: a ball sized
+    # by D alone would be empty, the anchor offset keeps the anchor in it
+    S0 = disc_lattice(20.0)
+    S = WindowedSet(S0.points[S0.norms() > 8.0], 20.0)
+    D = denseness_radius(S, S.radius / 10)
+    a = S.points[np.argmin(S.norms())]
+    reach = 0.6 * (D + 1) + max(4 * D, 2.0)
+    assert not (S.norms() <= reach).any()
+    sub = crystal_mod._gap_source(S, D)
+    assert sub.radius == pytest.approx(S.norms().min() + reach, rel=1e-12)
+    assert len(sub) < len(S)
+    assert np.all(sub.points == a, axis=1).any()
+    out = recover_crystal(S)
+    assert out.diagnostics["D"] == D
+    assert out.diagnostics["pair_count"] == finite_type_gap(sub, D).pair_count
 
 
 _CRYSTALS = pytest.mark.parametrize("B, F, R, strategy", [
