@@ -285,26 +285,63 @@ def _coord_bounds(inv: np.ndarray, radius: float) -> list[int]:
             for i in range(inv.shape[1])]
 
 
+def _ulp_widened(radius: float) -> float:
+    """radius widened by a few ulps: a point t + f that a caller keeps by
+    its own norm test then has |t| inside the enumeration radius
+    |t + f| + max |f|, whatever the rounding of either norm."""
+    return radius * (1.0 + 8 * np.finfo(np.float64).eps)
+
+
 def _lattice_points(basis: np.ndarray, inv: np.ndarray, radius: float):
-    """Yield (n, t = n B) for lattice points with |t| <= radius, in
-    deterministic chunks; n holds the integer coordinates."""
+    """Yield (n, t = n B) for the lattice points with |t| <= radius + TOL_EQ
+    in lexicographic order of n, the integer coordinates, in blocks.
+
+    The first p - 1 coordinates run over the _coord_bounds box. For each
+    such column u = n_1 b_1 + ... + n_{p-1} b_{p-1}, the last coordinate k
+    runs over the solutions of |u + k b_p|^2 <= (radius + TOL_EQ)^2, widened
+    by one on each side against rounding and clipped to the box. The norm
+    test on t = n B then keeps exactly the rows, and the bits, of a scan of
+    the whole box. A block holds the columns that share their first p - 2
+    coordinates, one 2-D section of the ball: the whole ball for p = 2, one
+    n_1 slab for p = 3.
+    """
     p = basis.shape[0]
     bounds = _coord_bounds(inv, radius)
-    first = np.arange(-bounds[0], bounds[0] + 1)
+    rho = radius + TOL_EQ
     if p == 1:
-        n = first[:, None]
+        n = np.arange(-bounds[0], bounds[0] + 1)[:, None]
         t = n * basis[0]
-        keep = np.linalg.norm(t, axis=1) <= radius + TOL_EQ
+        keep = np.linalg.norm(t, axis=1) <= rho
         if keep.any():
             yield n[keep], t[keep]
         return
-    grids = np.meshgrid(*[np.arange(-b, b + 1) for b in bounds[1:]],
+    grids = np.meshgrid(*[np.arange(-b, b + 1) for b in bounds[:-1]],
                         indexing="ij")
-    rest = np.stack([g.ravel() for g in grids], axis=1)
-    for n1 in first:
-        n = np.column_stack([np.full(len(rest), n1), rest])
+    cols = np.stack([g.ravel() for g in grids], axis=1)
+    u = cols @ basis[:-1]
+    last = basis[-1]
+    sq = float(last @ last)
+    # u + k0 b_p is the point of the column's line nearest the origin; its
+    # norm is taken from the vector, so no |u|^2 - (u.b_p)^2/|b_p|^2 cancels
+    k0 = -(u @ last) / sq
+    perp = u + k0[:, None] * last
+    half = np.sqrt(np.maximum(rho * rho - np.einsum("ij,ij->i", perp, perp),
+                              0.0) / sq)
+    lo = np.maximum(np.ceil(k0 - half) - 1, -bounds[-1]).astype(np.int64)
+    hi = np.minimum(np.floor(k0 + half) + 1, bounds[-1]).astype(np.int64)
+    count = np.maximum(hi - lo + 1, 0)
+    width = 2 * bounds[-2] + 1
+    for s in range(0, len(cols), width):
+        c = count[s:s + width]
+        m = int(c.sum())
+        if not m:
+            continue
+        n = np.empty((m, p), dtype=np.int64)
+        n[:, :-1] = np.repeat(cols[s:s + width], c, axis=0)
+        start = np.cumsum(c) - c
+        n[:, -1] = np.arange(m) - np.repeat(start - lo[s:s + width], c)
         t = n @ basis
-        keep = np.linalg.norm(t, axis=1) <= radius + TOL_EQ
+        keep = np.linalg.norm(t, axis=1) <= rho
         if keep.any():
             yield n[keep], t[keep]
 
@@ -389,17 +426,20 @@ def verify_decomposition(S: WindowedSet, L: Lattice, F,
     hit a point of S within tol_exact. Inclusion out: every core point
     (|a| <= R - sum |T_j|) must sit within tol_exact of L + F. Failures
     lower the coverages and are sampled into the witness lists (the first
-    ten in enumeration order, then in core order).
+    ten in the order of (n_1, f, n_2, ..., n_p), n the lattice coordinates
+    of t, then in core order).
 
     Both run in integer lattice coordinates, with no neighbour queries.
     Per residue f every window point is mapped once to n = round((a-f) B^-1)
     and d = |a - f - n B|; inclusion out reads d on the core. A point within
     tol_exact of t + f has n equal to the coordinates of t exactly while
-    tol_exact * max_i |B^-1[:, i]| < 1/2, so inclusion in looks each
-    enumerated (f, n) up among the window's keys (one packed int64 per
-    point and residue, one sort, searchsorted) and measures |a - (t + f)|
-    against the points with that key, keeping the nearest. A larger
-    tolerance, or a key range past int64, raises ConfigError.
+    tol_exact * max_i |B^-1[:, i]| < 1/2. So inclusion in packs each (f, n)
+    into one int64 key in that order, enumerates the targets t + f with
+    _lattice_points up to R + max |f| (plus a few ulps) in key order (one
+    residue's targets come sorted; several are merged), looks every window
+    point's key up among them with one searchsorted and keeps, per target,
+    the nearest |a - (t + f)|. A larger tolerance, or a key range past
+    int64, raises ConfigError.
     """
     F = np.asarray(F, dtype=np.float64).reshape(-1, S.dim)
     tol_exact = float(tol_exact)
@@ -413,7 +453,7 @@ def verify_decomposition(S: WindowedSet, L: Lattice, F,
         )
     R = S.radius
     max_f = float(np.linalg.norm(F, axis=1).max()) if len(F) else 0.0
-    enum_r = R + max_f + 1.0
+    enum_r = _ulp_widened(R + max_f)
     bounds = np.array(_coord_bounds(L.inv, enum_r), dtype=np.int64)
     widths = [2 * int(b) + 1 for b in bounds]
     if len(F) * math.prod(widths) > np.iinfo(np.int64).max:
@@ -423,9 +463,10 @@ def verify_decomposition(S: WindowedSet, L: Lattice, F,
         )
 
     def pack(fi: int, n: np.ndarray) -> np.ndarray:
-        key = np.full(len(n), fi, dtype=np.int64)
-        for i, w in enumerate(widths):
-            key = key * w + (n[:, i] + bounds[i])
+        # (n_1, residue, n_2, ..., n_p): the order witnesses are reported in
+        key = (n[:, 0] + bounds[0]) * len(F) + fi
+        for i in range(1, len(widths)):
+            key = key * widths[i] + (n[:, i] + bounds[i])
         return key
 
     pts = S.points
@@ -455,20 +496,19 @@ def verify_decomposition(S: WindowedSet, L: Lattice, F,
     if targets:
         q = np.concatenate(targets)
         qkey = np.concatenate(tkeys)
-        order = np.argsort(keys.ravel())
-        sk = keys.ravel()[order]
-        lo = np.searchsorted(sk, qkey, side="left")
-        cnt = np.searchsorted(sk, qkey, side="right") - lo
-        # every (target, window point) pair sharing a key, grouped by target
-        hit = np.flatnonzero(cnt)
-        m = cnt[hit]
-        first = np.cumsum(m) - m
-        pos = np.arange(int(m.sum())) - np.repeat(first - lo[hit], m)
-        owner = order[pos] % npts
-        dd = np.linalg.norm(pts[owner] - np.repeat(q[hit], m, axis=0), axis=1)
+        if len(F) > 1:
+            # each residue's targets are in key order, but a block spans
+            # several n_1 (p = 2) or shares its n_1 with others (p >= 4);
+            # the stable sort merges the residues' runs
+            order = np.argsort(qkey, kind="stable")
+            q, qkey = q[order], qkey[order]
+        # every (window point, target) pair sharing a key
+        wk = keys.ravel()
+        at = np.minimum(np.searchsorted(qkey, wk), len(qkey) - 1)
+        hit = np.flatnonzero(qkey[at] == wk)
+        at = at[hit]
         d = np.full(len(q), np.inf)
-        if len(hit):
-            d[hit] = np.minimum.reduceat(dd, first)
+        np.minimum.at(d, at, np.linalg.norm(pts[hit % npts] - q[at], axis=1))
         ok = d <= tol_exact
         checked_in = len(q)
         found_in = int(ok.sum())

@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .crystal import COORD_TOL, _lattice_points
+from .crystal import COORD_TOL, _lattice_points, _ulp_widened
 from .errors import (
     AmplitudeTooLarge,
     ConfigError,
@@ -74,7 +74,7 @@ def gen_ideal_crystal(basis, F, R: float, label: str = "") -> WindowedSet:
 
     max_f = float(np.linalg.norm(F, axis=1).max())
     pieces = []
-    for _, chunk in _lattice_points(B, inv, R + max_f + 1.0):
+    for _, chunk in _lattice_points(B, inv, _ulp_widened(R + max_f)):
         for f in F:
             pts = chunk + f
             keep = np.linalg.norm(pts, axis=1) <= R + TOL_EQ
@@ -117,7 +117,7 @@ def gen_perturbed_lattice(basis, amplitude: float, freqs, R: float,
     u = B[0] / np.linalg.norm(B[0])
 
     pieces = []
-    for _, chunk in _lattice_points(B, inv, R + amplitude + 1.0):
+    for _, chunk in _lattice_points(B, inv, _ulp_widened(R + amplitude)):
         n = np.round(chunk @ inv)
         shift = amplitude * np.sin(2 * np.pi * (n @ freqs))
         pts = chunk + shift[:, None] * u

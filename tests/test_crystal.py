@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import special_ortho_group
 
 import idealcrystal.crystal as crystal_mod
@@ -39,6 +41,8 @@ from idealcrystal import (
 )
 from idealcrystal.almost_period import TOL_EXACT, candidate_almost_periods
 from idealcrystal.config import RunConfig
+from idealcrystal.crystal import _coord_bounds, _lattice_points
+from idealcrystal.pointset import TOL_EQ
 
 
 def disc_lattice(R=20.0):
@@ -317,13 +321,90 @@ def test_verify_missing_residue_breaks_outward():
     assert len(dec.witnesses_out) > 0
 
 
+# reference: the box scan that _lattice_points replaced, kept verbatim so the
+# reference's witness order does not follow the code under test
+
+
+def _box_lattice_points(basis: np.ndarray, inv: np.ndarray, radius: float):
+    """Yield (n, t = n B) for lattice points with |t| <= radius, in
+    deterministic chunks; n holds the integer coordinates."""
+    p = basis.shape[0]
+    bounds = _coord_bounds(inv, radius)
+    first = np.arange(-bounds[0], bounds[0] + 1)
+    if p == 1:
+        n = first[:, None]
+        t = n * basis[0]
+        keep = np.linalg.norm(t, axis=1) <= radius + TOL_EQ
+        if keep.any():
+            yield n[keep], t[keep]
+        return
+    grids = np.meshgrid(*[np.arange(-b, b + 1) for b in bounds[1:]],
+                        indexing="ij")
+    rest = np.stack([g.ravel() for g in grids], axis=1)
+    for n1 in first:
+        n = np.column_stack([np.full(len(rest), n1), rest])
+        t = n @ basis
+        keep = np.linalg.norm(t, axis=1) <= radius + TOL_EQ
+        if keep.any():
+            yield n[keep], t[keep]
+
+
+def _enumerated(blocks):
+    blocks = list(blocks)
+    if not blocks:
+        return b"", b""
+    return (np.concatenate([n for n, _ in blocks]).tobytes(),
+            np.concatenate([t for _, t in blocks]).tobytes())
+
+
+@st.composite
+def _enumeration_cases(draw):
+    p = draw(st.integers(1, 4))
+    B = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=p * p,
+                               max_size=p * p))).reshape(p, p) + np.eye(p)
+    if p >= 2 and draw(st.booleans()):
+        # skewed: the last row nearly parallel to the first
+        B[-1] = B[0] + 0.05 * B[-1]
+    rows = np.linalg.norm(B, axis=1)
+    assume(rows.min() > 0.1
+           and abs(np.linalg.det(B)) > 1e-3 * float(np.prod(rows)))
+    # radius from a target count of points, so every p gets a ball of
+    # comparable size at every scale
+    count = draw(st.floats(0.5, 2000.0))
+    radius = (count * abs(np.linalg.det(B))) ** (1.0 / p)
+    scale = 10.0 ** draw(st.floats(-4.0, 6.0))
+    B = B * scale
+    radius = radius * scale
+    inv = np.linalg.inv(B)
+    box = np.prod([2.0 * b + 1 for b in _coord_bounds(inv, radius)])
+    assume(box <= 200_000)
+    return B, radius
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          database=None)
+@given(_enumeration_cases())
+@example((np.eye(2), 5.0))
+@example((np.eye(3), 3.0))
+@example((np.eye(2) * 1e-4, 5e-4))
+@example((np.eye(3) * 1e6, 3e6))
+@example((np.array([[2.0]]), 10.0))
+def test_lattice_points_match_box_scan(case):
+    B, radius = case
+    inv = np.linalg.inv(B)
+    got = list(_lattice_points(B, inv, radius))
+    assert _enumerated(got) == _enumerated(_box_lattice_points(B, inv, radius))
+    # each block is one 2-D section: its rows share n_1 ... n_{p-2}
+    p = B.shape[0]
+    for n, _ in got:
+        assert np.all(n[:, :p - 2] == n[0, :p - 2])
+
+
 # reference: the KD-tree form of verify_decomposition, one nearest-neighbour
-# query per lattice chunk and residue
+# query per box-scan slab and residue
 
 
 def _reference_verify_decomposition(S, L, F, tol_exact=TOL_EXACT):
-    from idealcrystal.crystal import _lattice_points
-
     F = np.asarray(F, dtype=np.float64).reshape(-1, S.dim)
     R = S.radius
     max_f = float(np.linalg.norm(F, axis=1).max()) if len(F) else 0.0
@@ -332,7 +413,8 @@ def _reference_verify_decomposition(S, L, F, tol_exact=TOL_EXACT):
     max_residual = 0.0
     wit_in = []
     if len(F):
-        for _, chunk in _lattice_points(L.basis, L.inv, R + max_f + 1.0):
+        for _, chunk in _box_lattice_points(L.basis, L.inv,
+                                            R + max_f + 1.0):
             for f in F:
                 pts = chunk + f
                 keep = np.linalg.norm(pts, axis=1) <= R - tol_exact
@@ -422,6 +504,21 @@ def _verify_parity_cases():
         plane.radius + tol)
     cube_holed = WindowedSet(np.delete(cube.points, [0, 17, 300], axis=0),
                              cube.radius)
+    # several residues and more than ten holes: the witnesses interleave
+    # residues within each n_1 slab (p = 3) and within each n_1 across the
+    # 2-D sections of the enumeration (p = 4)
+    cube_F = [[0.0, 0.0, 0.0], [0.5, 0.45, 0.4]]
+    cube2 = gen_ideal_crystal(cube_B, cube_F, 5.0)
+    cube2_holed = WindowedSet(
+        np.delete(cube2.points, rng.choice(len(cube2), size=13, replace=False),
+                  axis=0), cube2.radius)
+    tess_B = [[1.0, 0.1, 0.0, 0.2], [0.0, 1.2, 0.1, 0.0],
+              [0.3, 0.0, 0.9, 0.1], [0.0, 0.2, 0.1, 1.1]]
+    tess_F = [[0.0, 0.0, 0.0, 0.0], [0.5, 0.4, 0.3, 0.6]]
+    tess = gen_ideal_crystal(tess_B, tess_F, 3.5)
+    tess_holed = WindowedSet(
+        np.delete(tess.points, rng.choice(len(tess), size=12, replace=False),
+                  axis=0), tess.radius)
     return [
         ("p1-line", line, line_B, line_F),
         ("p1-one-residue", line, line_B, line_F[:1]),
@@ -434,6 +531,8 @@ def _verify_parity_cases():
         ("p2-jitter", jitter, plane_B, plane_F),
         ("p3-cube", cube, cube_B, [[0.0, 0.0, 0.0]]),
         ("p3-holes", cube_holed, cube_B, [[0.0, 0.0, 0.0]]),
+        ("p3-two-residues-holes", cube2_holed, cube_B, cube_F),
+        ("p4-two-residues-holes", tess_holed, tess_B, tess_F),
     ]
 
 
@@ -458,6 +557,9 @@ def test_verify_parity_cases_cover_every_outcome():
     assert seen["p2-shared-key"].coverage_in == 1.0
     assert seen["p2-jitter"].verified
     assert 0.2 * TOL_EXACT < seen["p2-jitter"].max_residual < 0.6 * TOL_EXACT
+    for name in ("p3-two-residues-holes", "p4-two-residues-holes"):
+        assert len(seen[name].witnesses_in) == 10, name
+        assert seen[name].coverage_out == 1.0, name
 
 
 def test_verify_refuses_tolerance_past_half_cell():
@@ -478,6 +580,35 @@ def test_verify_refuses_key_range_past_int64():
     S = WindowedSet(np.zeros((1, 3)), 1e7)
     with pytest.raises(ConfigError, match="int64"):
         verify_decomposition(S, build_lattice(np.eye(3)), [[0.0, 0.0, 0.0]])
+
+
+def test_verify_plane_at_small_scale():
+    # the enumeration reaches R + max |f|, widened by ulps only: an absolute
+    # pad of 1.0 would enumerate ~10^8 lattice points at scale 1e-4
+    S = gen_ideal_crystal(PLANE_B, PLANE_F, 30.0)
+    unit = verify_decomposition(S, build_lattice(PLANE_B), PLANE_F)
+    c = 1e-4
+    B, F = np.array(PLANE_B) * c, np.array(PLANE_F) * c
+    dec = verify_decomposition(WindowedSet(S.points * c, 30.0 * c),
+                               build_lattice(B), F)
+    assert (dec.checked_in, dec.checked_out) == (5143, 4430)
+    assert (unit.checked_in, unit.checked_out) == (5143, 4430)
+    assert dec.coverage_in == dec.coverage_out == 1.0
+    # the generator enumerates to the same radius
+    assert len(gen_ideal_crystal(B, F, 30.0 * c)) == len(S)
+
+
+def test_enumeration_keeps_a_point_rounded_onto_the_sphere():
+    # the ulp at R is 2^-21: s - g = R + 2^-22 rounds to R (a tie, to
+    # even), and so does R + g, to s - 2^-21. Without its few ulps of
+    # slack the enumeration radius R + max |f| would drop the lattice
+    # point s
+    R = 2.0 ** 31
+    s, g = R + 0.5 + 2.0 ** -21, 0.5 + 2.0 ** -22
+    S = gen_ideal_crystal([[s]], [[-g]], R)
+    assert S.points.ravel().tolist() == [-g, R]
+    dec = verify_decomposition(S, build_lattice([[s]]), [[-g]])
+    assert dec.checked_in == 2 and dec.verified
 
 
 # -- recover_crystal ---------------------------------------------------------------
