@@ -9,8 +9,8 @@ subwindow core. The verified periods are closed into one running lattice by
 rational refinement, seeded by the shortest independent ones once they span
 p directions. The strategy only gates the verdict: paper-cone also needs a
 verified period inside every axis cone, whose diagonal dominance certifies
-independence. Then residues are cut near the origin and both inclusions of
-A = L + F are verified on the window.
+independence. Once the ladder stops, residues are cut near the origin and
+both inclusions of A = L + F are verified on the window, once per run.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .errors import (
     AmbiguousSnap,
     ConfigError,
     DegenerateGap,
-    EmptyWindow,
     NoSnapTarget,
     NotExactPeriod,
     SingularBasis,
@@ -599,19 +598,20 @@ def _gap_source(S: WindowedSet, D: float) -> WindowedSet:
 
 
 def _screen_source(S: WindowedSet, r_cur: float) -> WindowedSet:
-    """Concentric subwindow candidates are verified against.
+    """Ball about the origin candidates are verified against, of radius
+    |a| + 2.2 r_cur + 2, a the window point nearest the origin (the
+    harvest's anchor); the whole window once that reaches R.
 
     No pair sweep runs here: each ladder step makes one batched probe query
     (_probe_rejections) and exact checks on the candidates it leaves, so
-    the only constraint is a core wide enough for |tau| up to r_cur.
+    the only constraint is a core wide enough for |tau| up to r_cur around
+    the anchor. The ball holds the anchor, so an empty centre never empties
+    it.
     """
-    r = 2.2 * r_cur + 2.0
+    r = float(S.norms().min()) + 2.2 * r_cur + 2.0
     if r >= S.radius * 0.999:
         return S
-    try:
-        return window_restrict(S, r)
-    except EmptyWindow:
-        return S
+    return window_restrict(S, r)
 
 
 def _probe_rejections(S: WindowedSet, cands: np.ndarray,
@@ -666,13 +666,16 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
     axis that still has no period; both masks cover the whole step and are
     redone after each verified period. Each step first probes the other
     candidates in one batched query (_probe_rejections); only those no
-    probe rejects get the full scan. The strategy only gates the verdict
-    (paper-cone also needs a period in every axis cone). Candidate radii
-    escalate (doubling from 4D up to R/2) until the swept annulus covers the
-    covering radius of the lattice (any period missing from the group would
-    have a coset representative that short), so a skewed or composite
-    period group is closed before the verdict. An explicit r_max disables
-    escalation.
+    probe rejects get the full scan. Candidate radii escalate (doubling
+    from 4D up to R/2) until the lattice exists, every paper-cone axis cone
+    holds a period, and the swept annulus covers the covering radius of the
+    lattice (any period missing from the group would have a coset
+    representative that short), so a skewed or composite period group is
+    closed before the verdict. An explicit r_max disables escalation.
+
+    The ladder only grows the lattice. The verdict is decided once, after
+    it: the strategy's gate (paper-cone also needs a period in every axis
+    cone), then residues and one decomposition check on the full window.
     """
     cfg = (config or RunConfig()).validate()
     diag: dict = {"strategy": cfg.strategy, "n_points": len(S)}
@@ -754,8 +757,6 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
     lattice: Lattice | None = None
     singular: str | None = None  # why the last seeding failed, if it did
     n_candidates = 0
-    best_failure: NoCrystalEvidence | None = None
-    success: CrystalDecomposition | None = None
     # paper-cone needs a verified period inside every axis cone; missing[j-1]
     # marks the axes j whose cone has none yet
     missing = np.full(p, cfg.strategy == "paper-cone" and p >= 2)
@@ -777,14 +778,13 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
         rejected = np.zeros(len(cands), dtype=bool)
         rejected[~near] = _probe_rejections(scr, cands[~near], cfg.tol_exact)
         skip = near & ~cone[missing].any(axis=0)
-        grew = False
         for i in np.flatnonzero(~rejected):
             if skip[i]:
                 continue
             # verify against a subwindow: translation symmetry of the full
             # window restricts to any concentric subwindow, so a rejection
-            # here is final, and the decomposition check at the end still
-            # runs on the full window.
+            # here is final, and the decomposition check after the ladder
+            # still runs on the full window.
             try:
                 P = snap_to_period(scr, cands[i], eps, cfg.tol_exact)
             except (NoSnapTarget, AmbiguousSnap, NotExactPeriod,
@@ -795,7 +795,6 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
             periods.append(P)
             # snapping an anchor difference returns it bit for bit
             missing &= ~cone[:, i]
-            grew = True
             if lattice is not None:
                 lattice = refine_lattice(lattice, [P], cfg.max_denominator)
             else:
@@ -811,71 +810,48 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
             skip = (_near_lattice(lattice, cands, eps)
                     & ~cone[missing].any(axis=0))
 
-        diag["n_candidates"] = n_candidates
-        diag["n_periods"] = len(periods)
+        # covering radius of L is at most half the generator length sum; a
+        # period outside the recovered group would leave a coset
+        # representative no longer than that, so sweeping this far closes
+        # the group (the ladder itself stops at R/2, or at an explicit r_max)
+        if (lattice is not None and not missing.any()
+                and r_cur >= float(np.linalg.norm(lattice.basis,
+                                                  axis=1).sum()) / 2):
+            break
 
-        if success is not None and not grew:
-            # escalation found nothing new; the remembered verdict stands
-            return success
-
-        if not periods:
-            why = "no verified periods"
-        elif missing.any():
-            why = f"empty cone for axis {int(np.argmax(missing)) + 1}"
-        elif lattice is None:
-            why = singular or "verified periods do not span p directions"
-        else:
-            why = None
-        if why is not None:
-            best_failure = NoCrystalEvidence(
-                stage="period-verification" if not periods else "basis-selection",
-                reason=why,
-                diagnostics=dict(diag),
-            )
-            continue
-        try:
-            F = residues(S, lattice)
-        except WindowTooSmall as e:
-            best_failure = NoCrystalEvidence(
-                stage="residues", reason=str(e), diagnostics=dict(diag)
-            )
-            continue
-        dec = verify_decomposition(S, lattice, F, cfg.tol_exact)
-        if dec.verified:
-            dec = replace(
-                dec,
-                epsilon=eps,
-                D=D,
-                periods=tuple(periods),
-                diagnostics=dict(diag),
-            )
-            # covering radius of L is at most half the generator length
-            # sum; a period outside the recovered group would leave a coset
-            # representative no longer than that, so sweeping this far
-            # closes the group
-            cover = float(np.linalg.norm(lattice.basis, axis=1).sum()) / 2
-            if r_cur >= min(cover, R / 2) or cfg.r_max is not None:
-                return dec
-            success = dec
-            continue
-        best_failure = NoCrystalEvidence(
+    diag.update(n_candidates=n_candidates, n_periods=len(periods))
+    if not periods:
+        why = "no verified periods"
+    elif missing.any():
+        why = f"empty cone for axis {int(np.argmax(missing)) + 1}"
+    elif lattice is None:
+        why = singular or "verified periods do not span p directions"
+    else:
+        why = None
+    if why is not None:
+        return NoCrystalEvidence(
+            stage="period-verification" if not periods else "basis-selection",
+            reason=why,
+            diagnostics=diag,
+        )
+    try:
+        F = residues(S, lattice)
+    except WindowTooSmall as e:
+        return NoCrystalEvidence(
+            stage="residues", reason=str(e), diagnostics=diag
+        )
+    dec = verify_decomposition(S, lattice, F, cfg.tol_exact)
+    if not dec.verified:
+        return NoCrystalEvidence(
             stage="decomposition",
             reason=(
                 f"coverage_in={dec.coverage_in:.6f}, "
                 f"coverage_out={dec.coverage_out:.6f}"
             ),
-            diagnostics=dict(diag),
+            diagnostics=diag,
             witnesses=np.concatenate(
                 [dec.witnesses_in, dec.witnesses_out]
             ).reshape(-1, S.dim),
         )
-
-    if success is not None:
-        return success
-    if best_failure is None:
-        best_failure = NoCrystalEvidence(
-            stage="candidate-generation",
-            reason="no candidates in the annulus",
-            diagnostics=dict(diag),
-        )
-    return best_failure
+    return replace(dec, epsilon=eps, D=D, periods=tuple(periods),
+                   diagnostics=diag)

@@ -117,8 +117,7 @@ def gen_perturbed_lattice(basis, amplitude: float, freqs, R: float,
     u = B[0] / np.linalg.norm(B[0])
 
     pieces = []
-    for _, chunk in _lattice_points(B, inv, _ulp_widened(R + amplitude)):
-        n = np.round(chunk @ inv)
+    for n, chunk in _lattice_points(B, inv, _ulp_widened(R + amplitude)):
         shift = amplitude * np.sin(2 * np.pi * (n @ freqs))
         pts = chunk + shift[:, None] * u
         keep = np.linalg.norm(pts, axis=1) <= R + TOL_EQ

@@ -879,14 +879,52 @@ def test_gap_ball_holds_the_anchor_around_an_empty_centre():
     assert out.diagnostics["pair_count"] == finite_type_gap(sub, D).pair_count
 
 
+def test_screen_ball_holds_the_anchor_around_an_empty_centre(monkeypatch):
+    # Z^2 at R = 40 without the disc |x| < 12: a screen sized by r_cur alone
+    # is empty on the first ladder step; sized from the anchor it holds the
+    # anchor and less than the whole window
+    S0 = disc_lattice(40.0)
+    S = WindowedSet(S0.points[S0.norms() >= 12.0], 40.0)
+    assert len(S) == 4588
+    a = S.points[np.argmin(S.norms())]
+    screens = []
+    source = crystal_mod._screen_source
+
+    def spy(S, r_cur):
+        screens.append(source(S, r_cur))
+        return screens[-1]
+
+    monkeypatch.setattr(crystal_mod, "_screen_source", spy)
+    out = recover_crystal(S)
+    first = screens[0]
+    assert np.all(first.points == a, axis=1).any()
+    assert len(first) < len(S)
+    assert isinstance(out, NoCrystalEvidence)
+    assert (out.stage, out.reason) == ("period-verification",
+                                       "no verified periods")
+
+
+# a p = 3 two-residue crystal that verifies on the first ladder step, whose
+# radius is below the covering bound of the recovered lattice
+_P3_SHORT_FIRST_STEP = (
+    [[1.6112308515776106, 0.10901408782154753, -1.2273520542445742],
+     [-0.6832266617805622, 1.371722427627642, -0.9447516230607774],
+     [-0.09826996785221727, 0.09548302746945433, 1.4793523444103553]],
+    [[0.0, 0.0, 0.0],
+     [0.36155292267975714, 0.3136754600402027, -0.14073757867272577]],
+    14.0,
+)
+
+
 _CRYSTALS = pytest.mark.parametrize("B, F, R, strategy", [
     (PLANE_B, PLANE_F, 30.0, "greedy-det"),
     (PLANE_B, PLANE_F, 30.0, "paper-cone"),
     (_criterion6_basis(0), [[0.0, 0.0]], 62.0, "paper-cone"),
     (*_criterion1_p3(4), "greedy-det"),
     ([[1.37]], [[0.0], [0.4247], [1.0549]], 400.0, "greedy-det"),
+    (*_P3_SHORT_FIRST_STEP, "greedy-det"),
 ], ids=["readme-plane-greedy", "readme-plane-cone", "criterion6-seed0-cone",
-        "criterion1-seed4-p3", "p1-three-residues"])
+        "criterion1-seed4-p3", "p1-three-residues", "p3-short-first-step"])
 
 
 def _greedy_closure(periods, p):
@@ -1043,6 +1081,44 @@ def test_recover_checks_every_anchor_difference_past_20000():
     d = np.linalg.norm(S.points - a, axis=1)
     in_annulus = (d > 0) & (d >= out.diagnostics["r_min"]) & (d <= S.radius / 2)
     assert out.diagnostics["n_candidates"] == int(in_annulus.sum()) == 25_000
+
+
+# -- one verdict per run -----------------------------------------------------------
+
+
+def test_vacancy_plane_makes_one_decomposition_check(monkeypatch):
+    # the ladder only grows the lattice; the decomposition check runs once
+    # after it, and sees the vacancy as its only witness
+    S = _vacancy_plane()
+    full = gen_ideal_crystal(PLANE_B, PLANE_F, 30.0)
+    hole = full.points[np.argmin(np.linalg.norm(full.points - [25.5, 0.0],
+                                                axis=1))]
+    calls = []
+    verify = crystal_mod.verify_decomposition
+
+    def counter(*args, **kwargs):
+        calls.append(1)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(crystal_mod, "verify_decomposition", counter)
+    out = recover_crystal(S)
+    assert len(calls) == 1
+    assert isinstance(out, NoCrystalEvidence)
+    assert out.stage == "decomposition"
+    assert out.witnesses.tolist() == [hole.tolist()]
+
+
+@_CRYSTALS
+def test_verified_run_sweeps_the_covering_radius(B, F, R, strategy):
+    # with r_max unset, a verdict is only built once the swept radius covers
+    # the covering radius of the lattice (at most half its generator
+    # length sum) or the ladder reached R/2
+    S = gen_ideal_crystal(B, F, R)
+    dec = recover_crystal(S, RunConfig(strategy=strategy))
+    assert isinstance(dec, CrystalDecomposition) and dec.verified
+    cover = float(np.linalg.norm(dec.lattice.basis, axis=1).sum()) / 2
+    assert dec.diagnostics["r_max_reached"] >= min(cover, S.radius / 2)
+    assert len(dec.residues) == len(F)
 
 
 def test_config_validation():
