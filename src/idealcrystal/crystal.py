@@ -1,13 +1,13 @@
 """Lattice arithmetic, residue extraction, and crystal recovery.
 
 The pipeline mirrors the constructive argument: measure the denseness
-radius and the difference-set gap, harvest candidate translations as the
-differences c - a from one anchor a near the origin (a period T with
-|T| <= r maps a onto a window point), reject most with one batched probe
-pass per ladder step and keep the rest that pass exact verification on a
-subwindow core. The verified periods are closed into one running lattice by
-rational refinement, seeded by the shortest independent ones once they span
-p directions. The strategy only gates the verdict: paper-cone also needs a
+radius and the difference-set gap near the origin, harvest candidate
+translations as the differences c - a from one anchor a near the origin
+(a period T with |T| <= r maps a onto a window point), reject most with
+one batched probe pass per ladder step and keep the rest that pass exact
+verification on a subwindow core. The verified periods are closed into one
+running lattice by rational refinement, seeded by the shortest independent
+ones once they span p directions. The strategy only gates the verdict: paper-cone also needs a
 verified period inside every axis cone, whose diagonal dominance certifies
 independence. Once the ladder stops, residues are cut near the origin and
 both inclusions of A = L + F are verified on the window, once per run.
@@ -39,16 +39,14 @@ from .errors import (
     SingularBasis,
     WindowTooSmall,
 )
-# is_almost_period and difference_vectors are not called here (the probe pass
-# and snap_to_period check periods, finite_type_gap sweeps pairs); the
-# benchmark tracer (perfbench/spans.py) wraps both under this module
+from .geometry import _core_max, finite_type_gap
+# is_almost_period, denseness_radius and difference_vectors are not called
+# here (the probe pass and snap_to_period check periods, _local_scales
+# measures D, finite_type_gap sweeps pairs); the benchmark tracer
+# (perfbench/spans.py) wraps them under this module
 from .almost_period import is_almost_period  # noqa: F401
-from .geometry import (  # noqa: F401
-    denseness_radius,
-    difference_vectors,
-    finite_type_gap,
-)
-from .pointset import TOL_EQ, WindowedSet, min_separation, window_restrict
+from .geometry import denseness_radius, difference_vectors  # noqa: F401
+from .pointset import TOL_EQ, WindowedSet, window_restrict
 
 log = logging.getLogger(__name__)
 
@@ -62,6 +60,10 @@ _PROBES = 32
 #: Minimal sine of the angle between a new greedy basis vector and the
 #: span of the ones already chosen.
 _ANGLE_FLOOR = 0.02
+
+#: Window points nearest the origin on which D and the minimum separation
+#: are measured. Their neighbours still come from the whole window.
+_LOCAL_POINTS = 256
 
 
 def cone_filter(vectors, j: int, p: int, scale: float = 1.0) -> np.ndarray:
@@ -579,6 +581,36 @@ def _sorted_period_vectors(periods: list[Period]) -> list[np.ndarray]:
     return vecs
 
 
+def _local_scales(S: WindowedSet, core_margin: float) -> tuple[float, float]:
+    """D and the minimum separation, measured near the origin.
+
+    The measured points are the _LOCAL_POINTS window points nearest the
+    origin and every point tied with the last of them in norm, so the set
+    does not depend on how the tree breaks ties; the whole window when it
+    holds no more points. One k = 2 query of the full window's tree gives
+    their nearest neighbours. D is the largest nearest-neighbour distance
+    over the measured core points, as in denseness_radius, and the minimum
+    separation the smallest over all measured points; a window of at most
+    _LOCAL_POINTS points gets exactly denseness_radius and min_separation.
+
+    Relative denseness and a discrete A - A hold the same way everywhere in
+    a crystal. A window broken away from the origin is refused by the
+    decomposition check on the full window.
+    """
+    norms = S.norms()
+    if len(S) > _LOCAL_POINTS:
+        d, _ = S.tree().query(np.zeros(S.dim), k=_LOCAL_POINTS)
+        # tree distances and norms may differ in the last bits
+        near = np.flatnonzero(norms <= d[-1] * (1 + 1e-12))
+    else:
+        near = np.arange(len(S))
+    d, _ = S.tree().query(S.points[near], k=2, workers=query_workers())
+    nn = d[:, 1]
+    # the measured points and the core are both balls about the origin, so
+    # the measured core is empty or a single point just when the core is
+    return _core_max(nn, norms[near], S.radius, core_margin), float(nn.min())
+
+
 def _gap_source(S: WindowedSet, D: float) -> WindowedSet:
     """Ball about the origin the finite-type gap's pair sweep runs on, of
     radius r = |a| + 0.6 (D + 1) + max(4D, 2), a the window point nearest
@@ -654,6 +686,13 @@ def _near_lattice(L: Lattice | None, cands: np.ndarray,
 def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
     """Full recovery pipeline; CrystalDecomposition or NoCrystalEvidence.
 
+    D and the minimum separation, which caps epsilon and sets the default
+    r_min, are measured on the window points nearest the origin
+    (_local_scales), the finite-type gap on a ball about it (_gap_source).
+    The hypotheses they test hold uniformly in a crystal; a window broken
+    away from the origin is refused by the decomposition check, which
+    reads the whole window.
+
     Candidates are the anchor differences c - a, a the window point nearest
     the origin: a period T with |T| <= r maps a onto a window point. They
     are harvested once up to the largest ladder radius and checked one
@@ -688,7 +727,7 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
     p = S.dim
     R = S.radius
     margin = cfg.core_margin if cfg.core_margin is not None else R / 10
-    D = denseness_radius(S, margin)
+    D, min_sep = _local_scales(S, margin)
     diag.update(D=D, core_margin=margin)
 
     gap_src = _gap_source(S, D)
@@ -698,7 +737,6 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
         return NoCrystalEvidence(
             stage="finite-type-gap", reason=str(e), diagnostics=diag
         )
-    min_sep = min_separation(S)
     eps = min(gapinfo.epsilon, min_sep / 2)
     diag.update(epsilon=eps, gap=gapinfo.gap, pair_count=gapinfo.pair_count)
 

@@ -4,10 +4,12 @@ Two scalars drive everything downstream. D is the empirical relative
 denseness radius (every core point has a neighbour within D). g is the
 minimal distance between distinct difference vectors of length at most
 D+1; when g stays bounded away from zero the window looks finite-type,
-and the working tolerance is set to epsilon = min(1, g)/2. recover_crystal
-measures g on a ball about the origin of radius |a| + 0.6 (D+1) + max(4D, 2),
-a the window point nearest the origin, so the sweep's pair array is bounded
-by that ball, not by the window.
+and the working tolerance is set to epsilon = min(1, g)/2. Both are local
+in a crystal, and recover_crystal measures them near the origin: D over
+the few hundred window points nearest it (crystal._local_scales), g on a
+ball about it of radius |a| + 0.6 (D+1) + max(4D, 2), a the window point
+nearest the origin, so the sweep's pair array is bounded by that ball, not
+by the window. denseness_radius here is D over the whole window's core.
 """
 
 from __future__ import annotations
@@ -187,22 +189,34 @@ def denseness_radius(S: WindowedSet, core_margin: float) -> float:
 
     Neighbours are drawn from the full window, so trimming by core_margin
     removes only the points whose true nearest neighbour might lie outside
-    the window; it never inflates the estimate.
+    the window; it never inflates the estimate. This reads the whole
+    window's nearest-neighbour table (WindowedSet.nn_distances);
+    recover_crystal takes the same maximum over the points nearest the
+    origin only, which on a window of at most a few hundred points is this
+    value exactly.
     """
     core_margin = float(core_margin)
     if core_margin < 0:
         raise ConfigError("core_margin must be non-negative")
     if len(S) < 2:
         raise TooFewPoints("denseness radius needs at least 2 points")
-    core = S.norms() <= S.radius - core_margin + TOL_EQ
+    return _core_max(S.nn_distances(), S.norms(), S.radius, core_margin)
+
+
+def _core_max(nn: np.ndarray, norms: np.ndarray, radius: float,
+              core_margin: float) -> float:
+    """Largest of the nearest-neighbour distances nn over the points whose
+    norms lie in the core {|a| <= radius - core_margin}, which must keep at
+    least 2 points."""
+    core = norms <= radius - core_margin + TOL_EQ
     k = int(core.sum())
     if k == 0:
         raise MarginTooLarge(
-            f"core_margin {core_margin:g} empties the window of radius {S.radius:g}"
+            f"core_margin {core_margin:g} empties the window of radius {radius:g}"
         )
     if k < 2:
         raise TooFewPoints("core must keep at least 2 points")
-    return float(S.nn_distances()[core].max())
+    return float(nn[core].max())
 
 
 @dataclass(frozen=True)

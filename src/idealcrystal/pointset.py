@@ -4,9 +4,12 @@ Everything downstream operates on finite windows: a set of points known to
 be the restriction of some larger point set to the ball ``|x| <= radius``
 about the origin. The container is immutable, keeps its points in
 canonical lexicographic order (so every tie-break in the package is
-deterministic), and caches the nearest-neighbour structure that most
-analyses need. Input already in canonical order (as ``serialize`` writes
-it) is copied, not re-sorted; a non-finite radius is refused.
+deterministic), and builds one KD-tree that every neighbour query shares.
+Construction refuses two points within tol_eq with one query bounded at
+tol_eq; the nearest-neighbour distance of every point (``nn_distances``,
+behind ``min_separation``) is computed only when asked for. Input already
+in canonical order (as ``serialize`` writes it) is copied, not re-sorted;
+a non-finite radius is refused.
 
 JSON point lists are parsed column-wise: one numpy conversion takes a
 well-formed list, and only a list it cannot take is scanned row by row,
@@ -73,6 +76,9 @@ class WindowedSet:
     The points are stored in canonical lexicographic order, in an array
     the container owns: input already in that order is copied, other
     input is sorted. The caller's array is never aliased or frozen.
+    Two points closer than tol_eq raise DuplicatePoint; the check costs
+    one tree query bounded at tol_eq, in O(n) memory, and builds no
+    nearest-neighbour table.
     """
 
     def __init__(self, points, radius=None, label: str = "", *, _trusted=False):
@@ -113,11 +119,29 @@ class WindowedSet:
 
         self._tree = None
         self._nn = None
-        if not _trusted and len(pts) >= 2:
-            if float(self.nn_distances().min()) < TOL_EQ:
-                raise DuplicatePoint(
-                    "two points coincide within tol_eq = %g" % TOL_EQ
-                )
+        if not _trusted and len(pts) >= 2 and self._has_duplicate():
+            raise DuplicatePoint(
+                "two points coincide within tol_eq = %g" % TOL_EQ
+            )
+
+    def _has_duplicate(self) -> bool:
+        """Whether two points lie closer than tol_eq.
+
+        Exact copies are adjacent rows in canonical order and are found
+        first: the tree cannot split copies apart, so a query among m of
+        them would scan all m once per copy. The rest is one query bounded
+        at tol_eq, which keeps O(n) memory however many points crowd
+        together; a neighbour it finds has the distance the unbounded query
+        of nn_distances gives it.
+        """
+        pts = self.points
+        if np.all(pts[1:] == pts[:-1], axis=1).any():
+            return True
+        d, _ = self.tree().query(
+            pts, k=2, distance_upper_bound=TOL_EQ * (1 + 1e-9),
+            workers=query_workers(),
+        )
+        return bool(d[:, 1].min() < TOL_EQ)
 
     # -- cached geometry ------------------------------------------------
 

@@ -33,9 +33,12 @@ from idealcrystal import (
     gen_perturbed_lattice,
     gen_poisson,
     independence_det,
+    load_points,
+    min_separation,
     recover_crystal,
     refine_lattice,
     residues,
+    serialize,
     verify_decomposition,
     verify_exact_period,
 )
@@ -843,21 +846,18 @@ def _rotated_p3(R):
     return gen_ideal_crystal(B, F, R)
 
 
-@pytest.mark.parametrize("window, keys", [
-    (_cubic, ("D", "gap", "epsilon", "pair_count")),
-    # D and min_sep (so epsilon) are extremes over the whole window and move
-    # in the last bits with it; the gap's ball holds the same points
-    (_rotated_p3, ("gap", "pair_count")),
-], ids=["cubic", "rotated"])
-def test_gap_diagnostics_do_not_depend_on_window_size(window, keys):
-    # the gap is swept on a ball about the origin sized by the anchor and D,
-    # so a window of over 10^5 points reports what one an eighth its size
-    # does
+@pytest.mark.parametrize("window", [_cubic, _rotated_p3],
+                         ids=["cubic", "rotated"])
+def test_gap_diagnostics_do_not_depend_on_window_size(window):
+    # D and the minimum separation are measured on the points nearest the
+    # origin, and the gap is swept on a ball about the origin sized by the
+    # anchor and D, so a window of over 10^5 points reports what one an
+    # eighth its size does
     big, small = recover_crystal(window(30.0)), recover_crystal(window(15.0))
     assert isinstance(big, CrystalDecomposition)
     assert isinstance(small, CrystalDecomposition)
     assert big.diagnostics["n_points"] > 100_000
-    for key in keys:
+    for key in ("D", "gap", "epsilon", "pair_count"):
         assert big.diagnostics[key] == small.diagnostics[key], key
 
 
@@ -902,6 +902,112 @@ def test_screen_ball_holds_the_anchor_around_an_empty_centre(monkeypatch):
     assert isinstance(out, NoCrystalEvidence)
     assert (out.stage, out.reason) == ("period-verification",
                                        "no verified periods")
+
+
+# -- local scales, global verification -----------------------------------------
+
+
+def _no_table(self):
+    raise AssertionError("the whole-window neighbour table was built")
+
+
+@pytest.mark.parametrize("window, n_min", [
+    (lambda: gen_ideal_crystal(PLANE_B, PLANE_F, 30.0), 5000),
+    (lambda: _cubic(15.0), 10_000),
+], ids=["readme-plane", "cubic"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_analyze_path_builds_no_neighbour_table(window, n_min, fmt,
+                                                monkeypatch):
+    # loading checks duplicates with a query bounded at tol_eq, and recovery
+    # measures D and the minimum separation near the anchor: neither needs
+    # the nearest-neighbour distance of every window point
+    S = window()
+    assert len(S) > n_min
+    text = serialize(S, fmt)
+    monkeypatch.setattr(WindowedSet, "nn_distances", _no_table)
+    loaded = load_points(text, fmt)
+    assert loaded.points.tolist() == S.points.tolist()
+    dec = recover_crystal(loaded)
+    assert isinstance(dec, CrystalDecomposition) and dec.verified
+
+
+@pytest.mark.parametrize("q", [[1, 9], [9, 1], [-1, 9], [-9, -1],
+                               [1, -9], [9, -1], [-1, -9], [-9, 1]])
+def test_local_scales_take_every_point_tied_with_the_last(q):
+    # Z^2 has 253 points with |x|^2 < 82 and eight on the circle |x|^2 = 82,
+    # so the 256 nearest the origin end inside that ring. A companion 0.1
+    # from any one ring point, on the same circle, is measured, wherever
+    # the tree would break the tie
+    S0 = disc_lattice(30.0)
+    assert crystal_mod._LOCAL_POINTS == 256
+    assert int((S0.norms() ** 2 < 81.5).sum()) == 253
+    t = 0.1 / np.sqrt(82.0)
+    rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    companion = rot @ np.array(q, dtype=float)
+    S = WindowedSet(np.vstack([S0.points, companion]), 30.0)
+    D, min_sep = crystal_mod._local_scales(S, 3.0)
+    assert D == 1.0
+    assert min_sep == min_separation(S) == pytest.approx(0.1, rel=1e-3)
+
+
+def test_local_scales_of_a_small_window_are_the_global_ones():
+    # a window of at most _LOCAL_POINTS points is measured whole
+    S = gen_poisson(1.0, 8.0, seed=2, dim=2)
+    assert 50 < len(S) <= crystal_mod._LOCAL_POINTS
+    D, min_sep = crystal_mod._local_scales(S, 0.8)
+    assert D == denseness_radius(S, 0.8)
+    assert min_sep == min_separation(S)
+
+
+_MANY_RESIDUES = [[0.0, 0.0], [1.1, 0.2], [2.3, 0.1], [0.4, 1.3],
+                  [1.7, 1.6], [2.9, 1.2], [0.9, 2.6], [2.2, 2.8]]
+
+
+@pytest.mark.parametrize("B, F", [
+    ([[1.0, 0.2], [-0.3, 1.1]], [[0.0, 0.0]]),
+    (PLANE_B, PLANE_F),
+    ([[3.6, 0.1], [0.4, 3.7]], _MANY_RESIDUES),
+], ids=["F1", "F2", "F8"])
+def test_local_D_is_the_window_D_on_crystals(B, F):
+    # every coset point sees the same neighbourhood, so the points nearest
+    # the origin give the whole window's D
+    S = gen_ideal_crystal(B, F, 30.0)
+    assert len(S) > 4 * crystal_mod._LOCAL_POINTS
+    dec = recover_crystal(S)
+    assert isinstance(dec, CrystalDecomposition) and dec.verified
+    assert len(dec.residues) == len(F)
+    assert dec.diagnostics["D"] == pytest.approx(
+        denseness_radius(S, S.radius / 10), rel=1e-12)
+
+
+def _plane_with_extra_point(R=30.0):
+    """README plane plus a point 0.05 from the one nearest (0.8 R, 0)."""
+    S = gen_ideal_crystal(PLANE_B, PLANE_F, R)
+    a = S.points[np.argmin(np.linalg.norm(S.points - [0.8 * R, 0.0], axis=1))]
+    extra = a + [0.0, 0.05]
+    return WindowedSet(np.vstack([S.points, extra]), R), extra, 0.0
+
+
+def _plane_with_hole(R=30.0):
+    """README plane without the disc of radius 3 about (0.7 R, 0)."""
+    S = gen_ideal_crystal(PLANE_B, PLANE_F, R)
+    centre = np.array([0.7 * R, 0.0])
+    keep = np.linalg.norm(S.points - centre, axis=1) > 3.0
+    return WindowedSet(S.points[keep], R), centre, 3.0
+
+
+@pytest.mark.parametrize("broken", [_plane_with_extra_point, _plane_with_hole],
+                         ids=["extra-point", "hole"])
+def test_window_broken_away_from_the_anchor_is_refused(broken):
+    # the local scales cannot see a defect far from the origin; the
+    # decomposition check on the whole window does, and names it
+    S, centre, radius = broken()
+    out = recover_crystal(S)
+    assert isinstance(out, NoCrystalEvidence)
+    assert out.stage == "decomposition"
+    assert len(out.witnesses) > 0
+    dist = np.linalg.norm(out.witnesses - centre, axis=1)
+    assert np.all(dist <= radius + 1e-9)
 
 
 # a p = 3 two-residue crystal that verifies on the first ladder step, whose

@@ -5,6 +5,10 @@ the O(n^2) oracle next to the library call.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,8 @@ from idealcrystal import (
     window_restrict,
 )
 from idealcrystal.pointset import TOL_EQ, _canonical_order, _in_canonical_order
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def brute_min_sep(pts):
@@ -74,6 +80,51 @@ def test_duplicate_points_rejected():
         WindowedSet([[1.0], [1.0 + 0.4 * TOL_EQ]], 5.0)
     # separation well above tol_eq is fine
     WindowedSet([[1.0], [1.0 + 10 * TOL_EQ]], 5.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("sep, duplicate", [(0.0, True), (0.5, True),
+                                            (2.0, False)])
+def test_duplicate_check_at_tol_eq(dim, sep, duplicate):
+    # a grid of spacing 1 plus one pair sep * tol_eq apart along the diagonal
+    grid = np.stack(np.meshgrid(*[np.arange(-2.0, 3.0)] * dim, indexing="ij"),
+                    -1).reshape(-1, dim)
+    a = np.full(dim, 0.3)
+    b = a + sep * TOL_EQ / np.sqrt(dim)
+    pts = np.vstack([grid, a, b])
+    if duplicate:
+        with pytest.raises(DuplicatePoint):
+            WindowedSet(pts)
+    else:
+        S = WindowedSet(pts)
+        assert min_separation(S) == pytest.approx(2.0 * TOL_EQ, rel=1e-6)
+
+
+_CROWDED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import numpy as np
+from idealcrystal import DuplicatePoint, WindowedSet
+box = np.random.default_rng(0).uniform(0.0, 1e-10, (100_000, 2))
+for pts in (box, np.ones((300_000, 2))):
+    try:
+        WindowedSet(pts)
+    except DuplicatePoint:
+        continue
+    sys.exit("no DuplicatePoint")
+"""
+
+
+def test_crowded_window_is_refused_in_bounded_memory():
+    # 10^5 points inside a 1e-10 box hold ~5e9 pairs within tol_eq, and a
+    # check that listed them would exhaust a 1 GiB address space. The tree
+    # cannot split 3 * 10^5 copies of one point, and a query among them
+    # would scan them all once per copy, far past the timeout
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", _CROWDED], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_nonfinite_coordinates_rejected():
