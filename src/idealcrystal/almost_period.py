@@ -220,6 +220,11 @@ def candidate_almost_periods(
     epsilon/2 of the entry c - a. Both need a inside the core for r_max:
     WindowTooSmall when |a| + r_max + epsilon >= R. Ties in |v| break
     lexicographically.
+
+    The differences are taken from the points with |c| <= |a| + r_max (and
+    a rounding slack), read off the cached norms; the annulus test on
+    |c - a| then keeps exactly the rows a scan of the whole window would.
+    No tree is built.
     """
     epsilon = float(epsilon)
     if epsilon <= 0:
@@ -239,10 +244,11 @@ def candidate_almost_periods(
             f"anchor at |a| = {a_norm:g} is outside the core for "
             f"r_max {r_max:g} (R = {S.radius:g})"
         )
-    near = np.asarray(S.tree().query_ball_point(a, r_max + TOL_EQ),
-                      dtype=np.intp)
-    near = near[near != anchor_idx]
-    return _annulus_sorted(S.points[near] - a, r_min, r_max)
+    # |c| <= |a| + |c - a|; the relative slack covers the rounding of both
+    # norms, and _annulus_sorted applies the exact test to what is left
+    ball = S.norms() <= a_norm + r_max + 2 * TOL_EQ + 1e-12 * S.radius
+    ball[anchor_idx] = False
+    return _annulus_sorted(S.points[ball] - a, r_min, r_max)
 
 
 def _annulus_sorted(vectors: np.ndarray, r_min: float, r_max: float) -> np.ndarray:
@@ -271,7 +277,8 @@ def snap_to_period(
 
     The anchor a is the window point nearest the origin; the unique c with
     |a + tau - c| < epsilon/2 defines T = c - a, which must then pass
-    verify_exact_period on the full window.
+    verify_exact_period on S, the window it is given (recover_crystal
+    passes the ladder step's screen subwindow).
     """
     tau = np.asarray(tau, dtype=np.float64).reshape(-1)
     epsilon = float(epsilon)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from ._util import query_workers
 from .almost_period import (
@@ -62,7 +63,8 @@ _PROBES = 32
 _ANGLE_FLOOR = 0.02
 
 #: Window points nearest the origin on which D and the minimum separation
-#: are measured. Their neighbours still come from the whole window.
+#: are measured. Their neighbours come from them and from the shell of
+#: window points just outside them.
 _LOCAL_POINTS = 256
 
 
@@ -584,28 +586,41 @@ def _sorted_period_vectors(periods: list[Period]) -> list[np.ndarray]:
 def _local_scales(S: WindowedSet, core_margin: float) -> tuple[float, float]:
     """D and the minimum separation, measured near the origin.
 
-    The measured points are the _LOCAL_POINTS window points nearest the
-    origin and every point tied with the last of them in norm, so the set
-    does not depend on how the tree breaks ties; the whole window when it
-    holds no more points. One k = 2 query of the full window's tree gives
-    their nearest neighbours. D is the largest nearest-neighbour distance
-    over the measured core points, as in denseness_radius, and the minimum
-    separation the smallest over all measured points; a window of at most
-    _LOCAL_POINTS points gets exactly denseness_radius and min_separation.
+    The measured points are the _LOCAL_POINTS window points of smallest
+    norm and every point tied with the last of them, so the set does not
+    depend on how a sort breaks ties; the whole window when it holds no
+    more points. A tree on them gives each its nearest measured neighbour,
+    at distance d. A point y outside is nearer than that only if |y| <=
+    |x| + d, so only the measured points with |x| + d past the largest
+    measured norm query a second tree, on the points outside up to the
+    largest such |x| + d. The distances are those of a query over the whole
+    window. D is the largest nearest-neighbour distance over the measured
+    core points, as in denseness_radius, and the minimum separation the
+    smallest over all measured points; a window of at most _LOCAL_POINTS
+    points gets exactly denseness_radius and min_separation.
 
     Relative denseness and a discrete A - A hold the same way everywhere in
     a crystal. A window broken away from the origin is refused by the
     decomposition check on the full window.
     """
     norms = S.norms()
+    cut = np.inf
     if len(S) > _LOCAL_POINTS:
-        d, _ = S.tree().query(np.zeros(S.dim), k=_LOCAL_POINTS)
-        # tree distances and norms may differ in the last bits
-        near = np.flatnonzero(norms <= d[-1] * (1 + 1e-12))
-    else:
-        near = np.arange(len(S))
-    d, _ = S.tree().query(S.points[near], k=2, workers=query_workers())
+        cut = np.partition(norms, _LOCAL_POINTS - 1)[_LOCAL_POINTS - 1]
+        cut *= 1 + 1e-12
+    near = np.flatnonzero(norms <= cut)
+    pts = S.points[near]
+    d, _ = cKDTree(pts).query(pts, k=2)
     nn = d[:, 1]
+    # the relative slack covers the rounding of norms and distances
+    reach = (norms[near] + nn) * (1 + 1e-12)
+    rim = reach > norms[near].max()
+    if rim.any():
+        shell = np.flatnonzero(norms <= reach.max())
+        shell = shell[norms[shell] > cut]
+        if len(shell):
+            d, _ = cKDTree(S.points[shell]).query(pts[rim], k=1)
+            nn[rim] = np.minimum(nn[rim], d)
     # the measured points and the core are both balls about the origin, so
     # the measured core is empty or a single point just when the core is
     return _core_max(nn, norms[near], S.radius, core_margin), float(nn.min())

@@ -4,12 +4,13 @@ Everything downstream operates on finite windows: a set of points known to
 be the restriction of some larger point set to the ball ``|x| <= radius``
 about the origin. The container is immutable, keeps its points in
 canonical lexicographic order (so every tie-break in the package is
-deterministic), and builds one KD-tree that every neighbour query shares.
-Construction refuses two points within tol_eq with one query bounded at
-tol_eq; the nearest-neighbour distance of every point (``nn_distances``,
-behind ``min_separation``) is computed only when asked for. Input already
-in canonical order (as ``serialize`` writes it) is copied, not re-sorted;
-a non-finite radius is refused.
+deterministic), and builds its KD-tree (``tree``) only when a query asks
+for one. Construction refuses two points within tol_eq by a sweep of the
+points sorted along one direction, with a tree query only among the points
+the sweep cannot separate; the nearest-neighbour distance of every point
+(``nn_distances``, behind ``min_separation``) is computed only when asked
+for. Input already in canonical order (as ``serialize`` writes it) is
+copied, not re-sorted; a non-finite radius is refused.
 
 JSON point lists are parsed column-wise: one numpy conversion takes a
 well-formed list, and only a list it cannot take is scanned row by row,
@@ -77,8 +78,9 @@ class WindowedSet:
     the container owns: input already in that order is copied, other
     input is sorted. The caller's array is never aliased or frozen.
     Two points closer than tol_eq raise DuplicatePoint; the check costs
-    one tree query bounded at tol_eq, in O(n) memory, and builds no
-    nearest-neighbour table.
+    one sort of the points along a fixed direction, in O(n) memory, and
+    builds neither a tree over the whole window nor a nearest-neighbour
+    table unless the points crowd together along that direction.
     """
 
     def __init__(self, points, radius=None, label: str = "", *, _trusted=False):
@@ -129,16 +131,36 @@ class WindowedSet:
 
         Exact copies are adjacent rows in canonical order and are found
         first: the tree cannot split copies apart, so a query among m of
-        them would scan all m once per copy. The rest is one query bounded
-        at tol_eq, which keeps O(n) memory however many points crowd
-        together; a neighbour it finds has the distance the unbounded query
-        of nn_distances gives it.
+        them would scan all m once per copy. The rest are projected on the
+        unit vector u along (sqrt 2, sqrt 3, ..., sqrt(p + 1)), whose
+        components are rationally independent, so no integer vector
+        projects to zero and an axis-aligned grid, whose rows share whole
+        slabs of coordinates, spreads out along u. Two points closer than tol_eq are closer than
+        tol_eq along u, so every gap between consecutive projections from
+        one to the other is at most tol_eq, plus the rounding of the
+        projections (a few ulps of max |a|). Only the points next to such a
+        gap go into a tree, with one query bounded at tol_eq: a pair that
+        query finds has the distance the unbounded query of nn_distances
+        gives it, and a crystal usually leaves no point to query. However
+        many points crowd together, memory stays O(n).
         """
         pts = self.points
         if np.all(pts[1:] == pts[:-1], axis=1).any():
             return True
-        d, _ = self.tree().query(
-            pts, k=2, distance_upper_bound=TOL_EQ * (1 + 1e-9),
+        u = np.sqrt(np.arange(2.0, self.dim + 2.0))
+        proj = pts @ (u / np.linalg.norm(u))
+        order = np.argsort(proj)
+        rounding = 4 * (self.dim + 1) * np.finfo(np.float64).eps
+        slack = TOL_EQ * (1 + 1e-9) + rounding * float(self._norms.max())
+        close = np.diff(proj[order]) <= slack
+        if not close.any():
+            return False
+        member = np.zeros(len(pts), dtype=bool)
+        member[order[:-1][close]] = True
+        member[order[1:][close]] = True
+        chain = pts[member]
+        d, _ = cKDTree(chain).query(
+            chain, k=2, distance_upper_bound=TOL_EQ * (1 + 1e-9),
             workers=query_workers(),
         )
         return bool(d[:, 1].min() < TOL_EQ)
@@ -146,7 +168,8 @@ class WindowedSet:
     # -- cached geometry ------------------------------------------------
 
     def tree(self) -> cKDTree:
-        """KD-tree over the points (built once, shared by all queries)."""
+        """KD-tree over the points, built on first use and then shared by
+        every query that asks for it."""
         if self._tree is None:
             self._tree = cKDTree(self.points)
         return self._tree

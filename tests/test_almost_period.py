@@ -7,6 +7,8 @@ against the periods found by sweeping the whole difference set.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from idealcrystal import (
     AlmostPeriodCertificate,
@@ -221,6 +223,68 @@ def test_candidates_contain_every_difference_set_period(S, r):
     got = candidate_almost_periods(S, 0.05, r_min, r)
     for T in want:
         assert np.min(np.linalg.norm(got - T, axis=1)) <= TOL_EQ, T
+
+
+def _brute_annulus(S, r_min, r_max):
+    """Reference: every difference c - a over the whole window, a the point
+    nearest the origin, with r_min <= |c - a| <= r_max up to TOL_EQ."""
+    k = int(np.argmin(S.norms()))
+    V = np.delete(S.points, k, axis=0) - S.points[k]
+    n = np.linalg.norm(V, axis=1)
+    return V[(n >= r_min - TOL_EQ) & (n <= r_max + TOL_EQ)]
+
+
+def _same_rows(got, want):
+    assert got.shape == want.shape
+    assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, want.tolist()))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.integers(20, 400), st.integers(0, 2**32 - 1),
+       st.floats(0.05, 0.95), st.floats(0.02, 0.98))
+def test_candidates_match_a_whole_window_annulus(dim, n, seed, top, low):
+    R = 10.0
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-R, R, (4 * n, dim))
+    S = WindowedSet(pts[np.linalg.norm(pts, axis=1) <= R][:n], R)
+    r_max = top * R / 2
+    r_min = low * r_max
+    assume(float(S.norms().min()) + r_max + 0.01 < R)
+    got = candidate_almost_periods(S, 0.01, r_min, r_max)
+    _same_rows(got, _brute_annulus(S, r_min, r_max))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("offset", [0.0, 0.25])
+def test_candidates_keep_the_shell_at_r_max_exactly(dim, offset):
+    # Z^p shifted by offset: the anchor is the shifted origin and lattice
+    # shells sit at exactly r_max from it. Points planted at r_max + 2 tol_eq
+    # fall outside the annulus, those at r_max + tol_eq / 2 inside it
+    r_max = 3.0
+    R = 2 * r_max + 2
+    g = np.arange(-R, R + 1)
+    pts = np.stack(np.meshgrid(*[g] * dim, indexing="ij"), -1).reshape(-1, dim)
+    pts = pts + offset
+    a = np.full(dim, offset)
+    if dim == 1:
+        plant = [a + (r_max + 2 * TOL_EQ), a - (r_max + 2 * TOL_EQ)]
+    else:
+        u = np.zeros(dim)
+        u[:2] = 0.6, 0.8
+        w = np.zeros(dim)
+        w[:2] = -0.8, 0.6
+        plant = [a + (r_max + 2 * TOL_EQ) * u, a + (r_max + TOL_EQ / 2) * w]
+    pts = np.vstack([pts, plant])
+    S = WindowedSet(pts[np.linalg.norm(pts, axis=1) <= R], R)
+    assert np.array_equal(S.points[np.argmin(S.norms())], a)
+    got = candidate_almost_periods(S, 0.1, 1.0, r_max)
+    want = _brute_annulus(S, 1.0, r_max)
+    _same_rows(got, want)
+    lengths = np.linalg.norm(got, axis=1)
+    # the lattice shell |n|^2 = 9 is kept whole: +-3 e_i, and in 3-D also
+    # the 24 signed permutations of (2, 2, 1); so is the planted point inside
+    assert (lengths == r_max).sum() == {1: 2, 2: 4, 3: 30}[dim]
+    assert lengths.max() == (r_max if dim == 1 else r_max + TOL_EQ / 2)
 
 
 def test_candidates_window_too_small():

@@ -4,12 +4,14 @@ Fuzz loops construct inputs whose expected outcome is known analytically;
 end-to-end cases round-trip through the generators.
 """
 
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 from scipy.stats import special_ortho_group
 
 import idealcrystal.crystal as crystal_mod
@@ -911,6 +913,21 @@ def _no_table(self):
     raise AssertionError("the whole-window neighbour table was built")
 
 
+def _record_tree_sizes(monkeypatch) -> list[int]:
+    """Sizes of the KD-trees the package builds from now on, in order."""
+    sizes: list[int] = []
+
+    class Recording(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            sizes.append(len(data))
+            super().__init__(data, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("idealcrystal") and hasattr(module, "cKDTree"):
+            monkeypatch.setattr(module, "cKDTree", Recording)
+    return sizes
+
+
 @pytest.mark.parametrize("window, n_min", [
     (lambda: gen_ideal_crystal(PLANE_B, PLANE_F, 30.0), 5000),
     (lambda: _cubic(15.0), 10_000),
@@ -918,17 +935,20 @@ def _no_table(self):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_analyze_path_builds_no_neighbour_table(window, n_min, fmt,
                                                 monkeypatch):
-    # loading checks duplicates with a query bounded at tol_eq, and recovery
+    # loading checks duplicates by a sweep along one direction, and recovery
     # measures D and the minimum separation near the anchor: neither needs
-    # the nearest-neighbour distance of every window point
+    # the nearest-neighbour distance of every window point, nor a tree over
+    # more than a ball about the origin
     S = window()
     assert len(S) > n_min
     text = serialize(S, fmt)
     monkeypatch.setattr(WindowedSet, "nn_distances", _no_table)
+    sizes = _record_tree_sizes(monkeypatch)
     loaded = load_points(text, fmt)
     assert loaded.points.tolist() == S.points.tolist()
     dec = recover_crystal(loaded)
     assert isinstance(dec, CrystalDecomposition) and dec.verified
+    assert sizes and max(sizes) <= len(S) / 2, sizes
 
 
 @pytest.mark.parametrize("q", [[1, 9], [9, 1], [-1, 9], [-9, -1],
@@ -937,7 +957,7 @@ def test_local_scales_take_every_point_tied_with_the_last(q):
     # Z^2 has 253 points with |x|^2 < 82 and eight on the circle |x|^2 = 82,
     # so the 256 nearest the origin end inside that ring. A companion 0.1
     # from any one ring point, on the same circle, is measured, wherever
-    # the tree would break the tie
+    # the selection would break the tie
     S0 = disc_lattice(30.0)
     assert crystal_mod._LOCAL_POINTS == 256
     assert int((S0.norms() ** 2 < 81.5).sum()) == 253
@@ -948,6 +968,23 @@ def test_local_scales_take_every_point_tied_with_the_last(q):
     D, min_sep = crystal_mod._local_scales(S, 3.0)
     assert D == 1.0
     assert min_sep == min_separation(S) == pytest.approx(0.1, rel=1e-3)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_local_scales_match_a_whole_window_query(dim, seed):
+    # the measured points' neighbours come from a ball about the origin;
+    # a query over the whole window's tree gives the same distances
+    S = gen_poisson(1.0, {1: 1500.0, 2: 25.0, 3: 8.0}[dim], seed=seed,
+                    dim=dim)
+    assert len(S) > 4 * crystal_mod._LOCAL_POINTS
+    r = np.sort(S.norms())[crystal_mod._LOCAL_POINTS - 1]
+    near = np.flatnonzero(S.norms() <= r * (1 + 1e-12))
+    d, _ = cKDTree(S.points).query(S.points[near], k=2)
+    margin = S.radius / 10
+    D, min_sep = crystal_mod._local_scales(S, margin)
+    assert D == float(d[:, 1][S.norms()[near] <= S.radius - margin].max())
+    assert min_sep == float(d[:, 1].min())
 
 
 def test_local_scales_of_a_small_window_are_the_global_ones():

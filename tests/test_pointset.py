@@ -12,6 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from idealcrystal import (
     ConfigError,
@@ -98,6 +101,80 @@ def test_duplicate_check_at_tol_eq(dim, sep, duplicate):
     else:
         S = WindowedSet(pts)
         assert min_separation(S) == pytest.approx(2.0 * TOL_EQ, rel=1e-6)
+
+
+def _bounded_query_duplicate(pts):
+    """Reference: one bounded k = 2 query over a tree of the whole window."""
+    d, _ = cKDTree(pts).query(pts, k=2,
+                              distance_upper_bound=TOL_EQ * (1 + 1e-9))
+    return bool(d[:, 1].min() < TOL_EQ)
+
+
+def _sweep_direction(dim):
+    u = np.sqrt(np.arange(2.0, dim + 2.0))
+    return u / np.linalg.norm(u)
+
+
+@st.composite
+def _duplicate_cases(draw):
+    dim = draw(st.integers(1, 3))
+    kinds = ["poisson", "grid"] + (["hyperplane"] if dim >= 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "poisson":
+        pts = rng.uniform(-5.0, 5.0, (draw(st.integers(2, 400)), dim))
+    elif kind == "grid":
+        # axis-aligned Z^p: whole slabs of rows share a first coordinate
+        m = draw(st.integers(2, 7))
+        g = np.arange(-m, m + 1, dtype=np.float64)
+        pts = np.stack(np.meshgrid(*[g] * dim, indexing="ij"),
+                       -1).reshape(-1, dim)
+    else:
+        # every point on the hyperplane orthogonal to the sweep direction,
+        # so every point projects within rounding of 0 and is a chain member
+        u = _sweep_direction(dim)
+        basis = np.linalg.svd(u[None, :])[2][1:]
+        coords = rng.uniform(-5.0, 5.0, (draw(st.integers(2, 300)), dim - 1))
+        pts = coords @ basis
+    # coordinates up to ~1e6, where an ulp is ~1e-10 and the rounding of the
+    # projections is no longer small against tol_eq
+    pts = pts * 10.0 ** draw(st.sampled_from([0, 3, 5]))
+    if draw(st.booleans()):
+        pts = pts + draw(st.sampled_from([0.0, 1e4, 1e6]))
+    sep = draw(st.sampled_from([None, 0.5, 0.999, 1.001, 2.0]))
+    if sep is not None:
+        # plant a pair sep * tol_eq apart, along the sweep direction (where
+        # the projection gap is the distance) or along a random one
+        x = pts[draw(st.integers(0, len(pts) - 1))]
+        if draw(st.booleans()):
+            step = _sweep_direction(dim)
+        else:
+            step = rng.normal(size=dim)
+            step /= np.linalg.norm(step)
+        pts = np.vstack([pts, x + sep * TOL_EQ * step])
+    return pts
+
+
+def _pair_along_sweep(x, sep):
+    x = np.asarray(x, dtype=np.float64)
+    return np.vstack([x, x + sep * TOL_EQ * _sweep_direction(len(x))])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_duplicate_cases())
+# pairs closer than tol_eq whose projections, rounded at |a| ~ 1e6, read a
+# gap above tol_eq: only the ulp slack of the sweep keeps them together
+@example(_pair_along_sweep([-476775.732, -403017.713], 0.999))
+@example(_pair_along_sweep([546554.019, -939307.985, 413930.191], 0.999))
+def test_duplicate_check_matches_a_bounded_whole_window_query(pts):
+    want = _bounded_query_duplicate(pts)
+    try:
+        WindowedSet(pts)
+    except DuplicatePoint:
+        got = True
+    else:
+        got = False
+    assert got == want
 
 
 _CROWDED = """
