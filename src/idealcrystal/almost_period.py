@@ -277,8 +277,9 @@ def snap_to_period(
 
     The anchor a is the window point nearest the origin; the unique c with
     |a + tau - c| < epsilon/2 defines T = c - a, which must then pass
-    verify_exact_period on S, the window it is given (recover_crystal
-    passes the ladder step's screen subwindow).
+    verify_exact_period on S, the window it is given. An anchor difference
+    c - a snaps to itself bit for bit, so recover_crystal, whose candidates
+    are all anchor differences, calls verify_exact_period on them directly.
     """
     tau = np.asarray(tau, dtype=np.float64).reshape(-1)
     epsilon = float(epsilon)

@@ -2,15 +2,17 @@
 
 The pipeline mirrors the constructive argument: measure the denseness
 radius and the difference-set gap near the origin, harvest candidate
-translations as the differences c - a from one anchor a near the origin
-(a period T with |T| <= r maps a onto a window point), reject most with
-one batched probe pass per ladder step and keep the rest that pass exact
-verification on a subwindow core. The verified periods are closed into one
-running lattice by rational refinement, seeded by the shortest independent
-ones once they span p directions. The strategy only gates the verdict: paper-cone also needs a
-verified period inside every axis cone, whose diagonal dominance certifies
-independence. Once the ladder stops, residues are cut near the origin and
-both inclusions of A = L + F are verified on the window, once per run.
+translations as the differences c - a from one anchor a near the origin (a
+period T with |T| <= r maps a onto a window point), reject most with one
+batched probe pass per ladder step and keep the rest that pass exact
+verification on a subwindow core. A candidate is in A - A already, so it is
+verified as it stands. The verified periods are closed into one running
+lattice by rational refinement, seeded by the shortest independent ones
+once they span p directions. The strategy only gates the verdict:
+paper-cone also needs a verified period inside every axis cone, whose
+diagonal dominance certifies independence. Once the ladder stops, residues
+are cut near the origin and both inclusions of A = L + F are verified on
+the window, once per run.
 """
 
 from __future__ import annotations
@@ -26,26 +28,21 @@ from scipy.spatial import cKDTree
 from ._util import query_workers
 from .almost_period import (
     TOL_EXACT,
+    FailureWitness,
     Period,
+    _frozen,
     candidate_almost_periods,
-    snap_to_period,
+    verify_exact_period,
 )
 from .config import RunConfig
-from .errors import (
-    AmbiguousSnap,
-    ConfigError,
-    DegenerateGap,
-    NoSnapTarget,
-    NotExactPeriod,
-    SingularBasis,
-    WindowTooSmall,
-)
+from .errors import ConfigError, DegenerateGap, SingularBasis, WindowTooSmall
 from .geometry import _core_max, finite_type_gap
-# is_almost_period, denseness_radius and difference_vectors are not called
-# here (the probe pass and snap_to_period check periods, _local_scales
-# measures D, finite_type_gap sweeps pairs); the benchmark tracer
-# (perfbench/spans.py) wraps them under this module
-from .almost_period import is_almost_period  # noqa: F401
+# is_almost_period, snap_to_period, denseness_radius and difference_vectors
+# are not called here (the probe pass and verify_exact_period check periods,
+# a candidate is an anchor difference, which snap_to_period would return
+# unchanged, _local_scales measures D, finite_type_gap sweeps pairs); the
+# benchmark tracer (perfbench/spans.py) wraps them under this module
+from .almost_period import is_almost_period, snap_to_period  # noqa: F401
 from .geometry import denseness_radius, difference_vectors  # noqa: F401
 from .pointset import TOL_EQ, WindowedSet, window_restrict
 
@@ -556,8 +553,6 @@ def _greedy_basis(vectors: list[np.ndarray], p: int) -> np.ndarray | None:
     chosen: list[np.ndarray] = []
     for v in vectors:
         nv = float(np.linalg.norm(v))
-        if nv <= 2 * TOL_EQ:
-            continue
         if not chosen:
             chosen.append(v)
         else:
@@ -711,21 +706,21 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
     Candidates are the anchor differences c - a, a the window point nearest
     the origin: a period T with |T| <= r maps a onto a window point. They
     are harvested once up to the largest ladder radius and checked one
-    annulus per step, each exactly once, by exact verification alone (an
-    anchor difference is already the vector an almost period would snap
-    to). The run keeps one lattice, the closure of the verified periods:
-    seeded by the shortest independent ones once they span p directions,
-    refined by each new one, and checked as it stands. A candidate within
-    epsilon/2 of it is skipped unless it lies in the cone of a paper-cone
-    axis that still has no period; both masks cover the whole step and are
-    redone after each verified period. Each step first probes the other
-    candidates in one batched query (_probe_rejections); only those no
-    probe rejects get the full scan. Candidate radii escalate (doubling
-    from 4D up to R/2) until the lattice exists, every paper-cone axis cone
-    holds a period, and the swept annulus covers the covering radius of the
-    lattice (any period missing from the group would have a coset
-    representative that short), so a skewed or composite period group is
-    closed before the verdict. An explicit r_max disables escalation.
+    annulus per step, each exactly once, by verify_exact_period alone (an
+    anchor difference is the vector an almost period would snap to, so it is
+    its own Period). The run keeps one lattice, the closure of the verified
+    periods: seeded by the shortest independent ones once they span p
+    directions, refined by each new one, and checked as it stands. A
+    candidate within epsilon/2 of it is skipped unless it lies in the cone
+    of a paper-cone axis that still has no period; both masks cover the
+    whole step and are redone after each verified period. Each step first
+    probes the other candidates in one batched query (_probe_rejections);
+    only those no probe rejects get the full scan. Candidate radii escalate
+    (doubling from 4D up to R/2) until the lattice exists, every paper-cone
+    axis cone holds a period, and the swept annulus covers the covering
+    radius of the lattice (any period missing from the group would have a
+    coset representative that short), so a skewed or composite period group
+    is closed before the verdict. An explicit r_max disables escalation.
 
     The ladder only grows the lattice. The verdict is decided once, after
     it: the strategy's gate (paper-cone also needs a period in every axis
@@ -799,6 +794,8 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
         return NoCrystalEvidence(
             stage="candidate-generation", reason=str(e), diagnostics=diag
         )
+    # the candidates' anchor, which every screen ball holds
+    anchor = _frozen(S.points[np.argmin(S.norms())])
     # each candidate belongs to the first ladder step whose radius covers it
     step_of = np.searchsorted(np.asarray(ladder) + TOL_EQ,
                               np.linalg.norm(harvest, axis=1))
@@ -839,17 +836,18 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
             # here is final, and the decomposition check after the ladder
             # still runs on the full window.
             try:
-                P = snap_to_period(scr, cands[i], eps, cfg.tol_exact)
-            except (NoSnapTarget, AmbiguousSnap, NotExactPeriod,
-                    WindowTooSmall):
+                outcome = verify_exact_period(scr, cands[i], cfg.tol_exact)
+            except WindowTooSmall:
                 continue
-            if float(np.linalg.norm(P.T)) <= 2 * TOL_EQ:
+            if isinstance(outcome, FailureWitness):
                 continue
-            periods.append(P)
-            # snapping an anchor difference returns it bit for bit
+            T = _frozen(cands[i])
+            periods.append(Period(T=T, verified_radius=outcome,
+                                  anchor=anchor, source_tau=T))
             missing &= ~cone[:, i]
             if lattice is not None:
-                lattice = refine_lattice(lattice, [P], cfg.max_denominator)
+                lattice = refine_lattice(lattice, periods[-1:],
+                                         cfg.max_denominator)
             else:
                 singular = None
                 basis = _greedy_basis(_sorted_period_vectors(periods), p)

@@ -102,7 +102,8 @@ class WindowedSet:
         self.dim = int(pts.shape[1]) if pts.shape[0] else max(int(pts.shape[1]), 1)
         self.label = str(label)
 
-        norms = np.linalg.norm(pts, axis=1) if len(pts) else np.zeros(0)
+        with np.errstate(over="ignore"):  # inf fails the radius check
+            norms = np.linalg.norm(pts, axis=1) if len(pts) else np.zeros(0)
         norms.flags.writeable = False
         self._norms = norms
 
@@ -234,12 +235,13 @@ def load_points(source, format: str = "csv") -> WindowedSet:
     JSON: object ``{"dim", "radius", "label", "points"}``; extra keys are
     ignored so generator metadata can ride along.
     """
+    if format not in ("csv", "json"):
+        raise ConfigError(f"unknown format {format!r} (expected 'csv' or 'json')")
     text = _as_text(source)
-    if format == "csv":
-        return _load_csv(text)
-    if format == "json":
-        return _load_json(text)
-    raise ConfigError(f"unknown format {format!r} (expected 'csv' or 'json')")
+    try:
+        return _load_csv(text) if format == "csv" else _load_json(text)
+    except ConfigError as e:  # the window the text describes is invalid
+        raise ParseError(str(e))
 
 
 def _load_csv(text: str) -> WindowedSet:
@@ -291,11 +293,7 @@ def _load_json(text: str) -> WindowedSet:
             radius = float(radius)
         except (TypeError, ValueError, OverflowError):
             raise ParseError("'radius' must be a number")
-    label = str(obj.get("label", ""))
-    try:
-        return WindowedSet(pts, radius, label)
-    except ConfigError as e:
-        raise ParseError(str(e))
+    return WindowedSet(pts, radius, str(obj.get("label", "")))
 
 
 def _json_rows(raw: list, dim: int | None) -> np.ndarray:
@@ -344,7 +342,8 @@ def serialize(S: WindowedSet, format: str = "csv", metadata: dict | None = None)
     if format == "csv":
         out = io.StringIO()
         if S.label:
-            out.write(f"# label: {S.label}\n")
+            # escaped, so no line break in the label can start a data row
+            out.write(f"# label: {json.dumps(S.label)}\n")
         if metadata:
             out.write(f"# generator: {json.dumps(metadata, sort_keys=True)}\n")
         for row in S.points:

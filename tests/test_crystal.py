@@ -16,6 +16,7 @@ from scipy.stats import special_ortho_group
 
 import idealcrystal.crystal as crystal_mod
 from idealcrystal import (
+    AmbiguousSnap,
     ConfigError,
     CrystalDecomposition,
     FailureWitness,
@@ -41,6 +42,7 @@ from idealcrystal import (
     refine_lattice,
     residues,
     serialize,
+    snap_to_period,
     verify_decomposition,
     verify_exact_period,
 )
@@ -1262,6 +1264,87 @@ def test_verified_run_sweeps_the_covering_radius(B, F, R, strategy):
     cover = float(np.linalg.norm(dec.lattice.basis, axis=1).sum()) / 2
     assert dec.diagnostics["r_max_reached"] >= min(cover, S.radius / 2)
     assert len(dec.residues) == len(F)
+
+
+# -- anchor differences are verified as they stand ------------------------------
+
+
+def _no_snap(*args, **kwargs):
+    raise AssertionError("recover_crystal snapped a candidate")
+
+
+@pytest.mark.parametrize("B, F, R, strategy", [
+    (PLANE_B, PLANE_F, 30.0, "greedy-det"),
+    (PLANE_B, PLANE_F, 30.0, "paper-cone"),
+    (_criterion6_basis(0), [[0.0, 0.0]], 62.0, "paper-cone"),
+], ids=["readme-plane-greedy", "readme-plane-cone", "criterion6-seed0-cone"])
+def test_periods_are_the_snapped_anchor_differences(B, F, R, strategy,
+                                                    monkeypatch):
+    # a candidate c - a is an element of A - A already: snapping it returns
+    # it bit for bit, so recovery verifies it directly. Each period is what
+    # snap_to_period gives on the screen ball of the step that verified it
+    S = gen_ideal_crystal(B, F, R)
+    steps = []
+    source = crystal_mod._screen_source
+
+    def spy(S, r_cur):
+        steps.append((r_cur, source(S, r_cur)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(crystal_mod, "_screen_source", spy)
+    monkeypatch.setattr(crystal_mod, "snap_to_period", _no_snap)
+    dec = recover_crystal(S, RunConfig(strategy=strategy))
+    assert isinstance(dec, CrystalDecomposition) and dec.verified
+    radii = np.array([r for r, _ in steps]) + TOL_EQ
+    for P in dec.periods:
+        scr = steps[int(np.searchsorted(radii, np.linalg.norm(P.T)))][1]
+        want = snap_to_period(scr, P.T, dec.epsilon, TOL_EXACT)
+        for name in ("T", "anchor", "source_tau"):
+            assert getattr(P, name).tobytes() == getattr(want, name).tobytes()
+        assert P.verified_radius == want.verified_radius
+
+
+@pytest.mark.parametrize("extra, strategy, stage, n_periods, ambiguous", [
+    ((9.05, 0.0), "greedy-det", "decomposition", 4, None),
+    ((3.05, 2.0), "greedy-det", "period-verification", 0, None),
+    ((1.05, 1.0), "paper-cone", "period-verification", 0, None),
+    ((6.0, 4.03), "paper-cone", "basis-selection", 3, None),
+    ((13.03, 0.0), "paper-cone", "basis-selection", 2, (13.0, 0.0)),
+    ((0.0, 14.03), "paper-cone", "basis-selection", 2, (0.0, 14.0)),
+], ids=["x9.05-greedy", "3.05,2-greedy", "1.05,1-cone", "6,4.03-cone",
+        "x13.03-cone", "y14.03-cone"])
+def test_near_duplicate_windows_keep_their_verdicts(extra, strategy, stage,
+                                                    n_periods, ambiguous):
+    # Z^2 plus one point 0.03-0.05 off a lattice point. Inside the 256
+    # points D and the minimum separation are measured on, the extra point
+    # shrinks epsilon, so no snap is ambiguous. Past them, epsilon stays
+    # 1/2: a paper-cone axis candidate that lands next to the extra point
+    # has two window points within epsilon/2, where snapping raised
+    # AmbiguousSnap. Verified directly it fails: the extra point lies in
+    # the core, and its translate is no window point
+    S = WindowedSet(np.vstack([disc_lattice(30.0).points, [extra]]), 30.0)
+    out = recover_crystal(S, RunConfig(strategy=strategy))
+    assert isinstance(out, NoCrystalEvidence)
+    assert (out.stage, out.diagnostics["n_periods"]) == (stage, n_periods)
+    if ambiguous is not None:
+        eps = out.diagnostics["epsilon"]
+        assert eps == 0.5
+        with pytest.raises(AmbiguousSnap):
+            snap_to_period(S, ambiguous, eps)
+        assert isinstance(verify_exact_period(S, ambiguous), FailureWitness)
+
+
+@pytest.mark.parametrize("delta", [1.01e-9, 1.5e-9, 1.99e-9])
+def test_candidate_within_two_tol_eq_stops_at_the_gap(delta):
+    # a candidate no longer than 2 tol_eq puts a second point that close to
+    # the anchor, inside the gap ball, so the gap stage refuses the window
+    # before any candidate is checked
+    S = WindowedSet(np.vstack([disc_lattice(20.0).points, [[delta, 0.0]]]),
+                    20.0)
+    out = recover_crystal(S, RunConfig(r_min=1e-9))
+    assert isinstance(out, NoCrystalEvidence)
+    assert out.stage == "finite-type-gap"
+    assert "n_candidates" not in out.diagnostics
 
 
 def test_config_validation():

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,32 @@ def test_csv_empty_input():
 def test_csv_nonfinite():
     with pytest.raises(ParseError):
         load_points("nan\n1.0\n")
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x85", "\u2028"],
+                         ids=["lf", "cr", "crlf", "nel", "line-separator"])
+def test_csv_label_with_a_line_break_stays_a_comment(brk):
+    # the label line is escaped like the generator line, so a line break
+    # in the label cannot start a data row
+    S = WindowedSet([[0.0, 0.0], [1.0, 0.0]], 2.0, label=f"two{brk}5,5")
+    text = serialize(S, "csv")
+    assert text.splitlines()[0] == "# label: " + json.dumps(S.label)
+    T = load_points(text, "csv")
+    assert T.points.tolist() == S.points.tolist()
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("csv", "1e200,1e200\n0,0\n"),
+    ("json", '{"points": [[1e200, 1e200], [0, 0]]}'),
+    ("json", '{"radius": 5, "points": [[1e200, 1e200], [0, 0]]}'),
+], ids=["csv", "json", "json-radius"])
+def test_overflowing_norm_is_a_parse_error_without_warning(fmt, text):
+    # |(1e200, 1e200)| is past the float range: no finite radius holds the
+    # point, in either format, and numpy's overflow warning stays quiet
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="radius"):
+            load_points(text, fmt)
 
 
 def test_non_utf8_input_is_a_parse_error():
