@@ -226,6 +226,14 @@ def candidate_almost_periods(
     |c - a| then keeps exactly the rows a scan of the whole window would.
     No tree is built.
     """
+    _check_anchor_core(S, epsilon, r_min, r_max)
+    return _anchor_differences(S, float(r_min), -np.inf, float(r_max))
+
+
+def _check_anchor_core(S: WindowedSet, epsilon: float, r_min: float,
+                       r_max: float) -> None:
+    """The argument checks of candidate_almost_periods: ConfigError for bad
+    radii, WindowTooSmall unless the anchor is inside the core for r_max."""
     epsilon = float(epsilon)
     if epsilon <= 0:
         raise ConfigError("epsilon must be positive")
@@ -236,30 +244,44 @@ def candidate_almost_periods(
         raise ConfigError(f"r_max {r_max:g} exceeds R/2 = {S.radius / 2:g}")
     if len(S) == 0:
         raise WindowTooSmall("no anchor in an empty window")
-    anchor_idx = int(np.argmin(S.norms()))
-    a = S.points[anchor_idx]
-    a_norm = float(S.norms()[anchor_idx])
+    a_norm = float(S.norms().min())
     if a_norm + r_max + epsilon >= S.radius:
         raise WindowTooSmall(
             f"anchor at |a| = {a_norm:g} is outside the core for "
             f"r_max {r_max:g} (R = {S.radius:g})"
         )
+
+
+def _anchor_differences(S: WindowedSet, r_min: float, r_after: float,
+                        r_max: float) -> np.ndarray:
+    """The rows of candidate_almost_periods(S, ., r_min, top >= r_max) with
+    r_after + TOL_EQ < |v| <= r_max + TOL_EQ, in their order there: the
+    part of a chain of lengths within TOL_EQ of the next that falls in this
+    range is still one chain. (Where r_after cuts a chain, the one harvest
+    interleaves its two parts, so concatenated ranges differ from it.)
+    """
+    anchor_idx = int(np.argmin(S.norms()))
+    a = S.points[anchor_idx]
     # |c| <= |a| + |c - a|; the relative slack covers the rounding of both
     # norms, and _annulus_sorted applies the exact test to what is left
-    ball = S.norms() <= a_norm + r_max + 2 * TOL_EQ + 1e-12 * S.radius
+    ball = (S.norms() <= S.norms()[anchor_idx] + r_max + 2 * TOL_EQ
+            + 1e-12 * S.radius)
     ball[anchor_idx] = False
-    return _annulus_sorted(S.points[ball] - a, r_min, r_max)
+    return _annulus_sorted(S.points[ball] - a, r_min, r_max, r_after)
 
 
-def _annulus_sorted(vectors: np.ndarray, r_min: float, r_max: float) -> np.ndarray:
-    """Rows with r_min <= |v| <= r_max ordered by (|v|, lexicographic).
+def _annulus_sorted(vectors: np.ndarray, r_min: float, r_max: float,
+                    r_after: float) -> np.ndarray:
+    """Rows with r_min <= |v| <= r_max and |v| > r_after, each bound
+    widened by TOL_EQ, ordered by (|v|, lexicographic).
 
     Lengths within TOL_EQ of the next shorter one tie: c - a and the
     mirror c' - a of the same shell differ in their last bits, and the
     order must not depend on rounding.
     """
     norms = np.linalg.norm(vectors, axis=1)
-    keep = (norms >= r_min - TOL_EQ) & (norms <= r_max + TOL_EQ)
+    keep = ((norms >= r_min - TOL_EQ) & (norms <= r_max + TOL_EQ)
+            & (norms > r_after + TOL_EQ))
     vecs = vectors[keep]
     norms = norms[keep]
     by_norm = np.argsort(norms, kind="stable")

@@ -30,19 +30,23 @@ from .almost_period import (
     TOL_EXACT,
     FailureWitness,
     Period,
+    _anchor_differences,
+    _check_anchor_core,
     _frozen,
-    candidate_almost_periods,
     verify_exact_period,
 )
 from .config import RunConfig
 from .errors import ConfigError, DegenerateGap, SingularBasis, WindowTooSmall
 from .geometry import _core_max, finite_type_gap
-# is_almost_period, snap_to_period, denseness_radius and difference_vectors
-# are not called here (the probe pass and verify_exact_period check periods,
-# a candidate is an anchor difference, which snap_to_period would return
-# unchanged, _local_scales measures D, finite_type_gap sweeps pairs); the
-# benchmark tracer (perfbench/spans.py) wraps them under this module
-from .almost_period import is_almost_period, snap_to_period  # noqa: F401
+# candidate_almost_periods, is_almost_period, snap_to_period,
+# denseness_radius and difference_vectors are not called here (each ladder
+# step harvests its own annulus, the probe pass and verify_exact_period
+# check periods, a candidate is an anchor difference, which snap_to_period
+# would return unchanged, _local_scales measures D, finite_type_gap sweeps
+# pairs); the benchmark tracer (perfbench/spans.py) wraps them under this
+# module
+from .almost_period import (candidate_almost_periods,  # noqa: F401
+                            is_almost_period, snap_to_period)
 from .geometry import denseness_radius, difference_vectors  # noqa: F401
 from .pointset import TOL_EQ, WindowedSet, window_restrict
 
@@ -418,28 +422,84 @@ class NoCrystalEvidence:
     )
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=1) bit for bit, with one temporary of one
+    column: the same left-to-right sum of squares, which numpy's row
+    reduction uses for fewer than 8 columns (it sums pairwise from 8)."""
+    if v.shape[1] >= 8:
+        return np.linalg.norm(v, axis=1)
+    s = v[:, 0] * v[:, 0]
+    for k in range(1, v.shape[1]):
+        s += v[:, k] * v[:, k]
+    return np.sqrt(s, out=s)
+
+
+def _count_targets(basis: np.ndarray, inv: np.ndarray, radius: float,
+                   f: np.ndarray, lim: float) -> int:
+    """Number of rows (n, t) of _lattice_points(basis, inv, radius) with
+    |t + f| <= lim, for lim + |f| within radius, none of them enumerated.
+
+    Each column u = n_1 b_1 + ... + n_{p-1} b_{p-1} of the _coord_bounds box
+    meets the ball |t + f| <= lim in an interval of the last coordinate k,
+    solved as in _lattice_points and widened by two on each side. Rounding
+    moves each end of the solved interval by less than one row, so the
+    first and last three rows of the widened one hold every row whose
+    membership is in doubt: only they get the norm test on t + f, with t =
+    n B as the enumeration forms it, and the rows between them count
+    untested.
+    """
+    if lim < 0:
+        return 0
+    p = basis.shape[0]
+    bounds = _coord_bounds(inv, radius)
+    widths = [2 * b + 1 for b in bounds[:-1]]
+    cols = np.indices(widths).reshape(p - 1, math.prod(widths)).T - bounds[:-1]
+    u = cols @ basis[:-1] + f
+    last = basis[-1]
+    sq = float(last @ last)
+    k0 = -(u @ last) / sq
+    perp = u + k0[:, None] * last
+    half = np.sqrt(np.maximum(lim * lim - np.einsum("ij,ij->i", perp, perp),
+                              0.0) / sq)
+    lo = np.maximum(np.ceil(k0 - half) - 2, -bounds[-1]).astype(np.int64)
+    hi = np.minimum(np.floor(k0 + half) + 2, bounds[-1]).astype(np.int64)
+    count = np.maximum(hi - lo + 1, 0)
+    inside = np.maximum(count - 6, 0)
+    # rows lo, lo+1, lo+2 and hi-2, hi-1, hi; all rows of a shorter interval
+    j = np.arange(6)
+    k = lo[:, None] + j + (j >= 3) * inside[:, None]
+    tested = j < count[:, None]
+    n = np.empty((int(tested.sum()), p), dtype=np.int64)
+    n[:, :-1] = np.repeat(cols, 6, axis=0)[tested.ravel()]
+    n[:, -1] = k[tested]
+    q = n @ basis + f
+    return int(inside.sum()) + int((_row_norms(q) <= lim).sum())
+
+
 def verify_decomposition(S: WindowedSet, L: Lattice, F,
                          tol_exact: float = TOL_EXACT) -> CrystalDecomposition:
     """Check both inclusions of A = L + F against the window.
 
-    Inclusion in: every t + f inside the window (radius R - tol_exact) must
-    hit a point of S within tol_exact. Inclusion out: every core point
-    (|a| <= R - sum |T_j|) must sit within tol_exact of L + F. Failures
-    lower the coverages and are sampled into the witness lists (the first
-    ten in the order of (n_1, f, n_2, ..., n_p), n the lattice coordinates
-    of t, then in core order).
+    Inclusion in: every target t + f inside the window (radius R -
+    tol_exact) must hit a point of S within tol_exact. Inclusion out: every
+    core point (|a| <= R - sum |T_j|) must sit within tol_exact of L + F.
+    Failures lower the coverages and are sampled into the witness lists
+    (the first ten in the order of (n_1, f, n_2, ..., n_p), n the lattice
+    coordinates of t, then in core order).
 
     Both run in integer lattice coordinates, with no neighbour queries.
-    Per residue f every window point is mapped once to n = round((a-f) B^-1)
-    and d = |a - f - n B|; inclusion out reads d on the core. A point within
-    tol_exact of t + f has n equal to the coordinates of t exactly while
-    tol_exact * max_i |B^-1[:, i]| < 1/2. So inclusion in packs each (f, n)
-    into one int64 key in that order, enumerates the targets t + f with
-    _lattice_points up to R + max |f| (plus a few ulps) in key order (one
-    residue's targets come sorted; several are merged), looks every window
-    point's key up among them with one searchsorted and keeps, per target,
-    the nearest |a - (t + f)|. A larger tolerance, or a key range past
-    int64, raises ConfigError.
+    Per residue f every window point a is mapped once to n = round((a-f)
+    B^-1) and t = n B; inclusion out reads |a - f - t| on the core. A point
+    within tol_exact of a target has n equal to the target's coordinates
+    while tol_exact * max_i |B^-1[:, i]| < 1/2, and n B is the product the
+    target enumeration (_lattice_points) forms, bit for bit. So a point with
+    |t + f| <= R - tol_exact and |a - (t + f)| <= tol_exact hits the target
+    keyed by (n_1, f, n_2, ..., n_p) in one int64. Inclusion in compares the
+    distinct keys hit, each with its nearest point's residual, with the
+    number of targets, which _count_targets counts. Only when a target is
+    missed are the targets enumerated, in key order, to list the first ten
+    whose key no point hit. A larger tolerance, or a key range past int64,
+    raises ConfigError.
     """
     F = np.asarray(F, dtype=np.float64).reshape(-1, S.dim)
     tol_exact = float(tol_exact)
@@ -452,6 +512,7 @@ def verify_decomposition(S: WindowedSet, L: Lattice, F,
             "integer-coordinate check needs less than 1/2"
         )
     R = S.radius
+    lim = R - tol_exact
     max_f = float(np.linalg.norm(F, axis=1).max()) if len(F) else 0.0
     enum_r = _ulp_widened(R + max_f)
     bounds = np.array(_coord_bounds(L.inv, enum_r), dtype=np.int64)
@@ -470,30 +531,52 @@ def verify_decomposition(S: WindowedSet, L: Lattice, F,
         return key
 
     pts = S.points
-    npts = len(pts)
-    keys = np.empty((len(F), npts), dtype=np.int64)
-    best = np.full(npts, np.inf)
+    best = np.full(len(pts), np.inf)
+    hit_keys, hit_d = [], []
+    checked_in = 0
     for fi, f in enumerate(F):
         x = pts - f
         c = np.round(x @ L.inv)
-        best = np.minimum(best, np.linalg.norm(x - c @ L.basis, axis=1))
-        # a point past the bounds matches no enumerated t + f; clipping
-        # only keeps its key in range
-        keys[fi] = pack(fi, np.clip(c, -bounds, bounds).astype(np.int64))
+        q = c @ L.basis
+        x -= q
+        np.minimum(best, _row_norms(x), out=best)
+        q += f
+        d = _row_norms(np.subtract(pts, q, out=x))
+        hit = np.flatnonzero((d <= tol_exact) & (_row_norms(q) <= lim))
+        # a target t + f has its n inside the bounds; clipping only keeps
+        # the key of a point that hits none in range
+        keys = pack(fi, np.clip(c, -bounds, bounds).astype(np.int64))
+        hit_keys.append(keys[hit])
+        hit_d.append(d[hit])
+        checked_in += _count_targets(L.basis, L.inv, enum_r, f, lim)
 
-    targets, tkeys = [], []
-    for n, t in _lattice_points(L.basis, L.inv, enum_r):
-        for fi, f in enumerate(F):
-            q = t + f
-            keep = np.linalg.norm(q, axis=1) <= R - tol_exact
-            if keep.any():
-                targets.append(q[keep])
-                tkeys.append(pack(fi, n[keep]))
-
-    checked_in = found_in = 0
+    found_in = 0
     max_residual = 0.0
     wit_in = np.zeros((0, S.dim))
-    if targets:
+    if hit_keys:
+        keys = np.concatenate(hit_keys)
+        d = np.concatenate(hit_d)
+        seen = np.sort(keys)
+        shared = seen[1:] == seen[:-1]
+        found_in = len(seen) - int(shared.sum())
+        if shared.any():
+            # points hitting one target share its residual, the nearest's
+            many = np.isin(keys, seen[1:][shared])
+            _, group = np.unique(keys[many], return_inverse=True)
+            nearest = np.full(group.max() + 1, np.inf)
+            np.minimum.at(nearest, group, d[many])
+            d = np.concatenate([d[~many], nearest])
+        if len(d):
+            max_residual = float(d.max())
+    if found_in < checked_in:
+        targets, tkeys = [], []
+        for n, t in _lattice_points(L.basis, L.inv, enum_r):
+            for fi, f in enumerate(F):
+                q = t + f
+                keep = np.linalg.norm(q, axis=1) <= lim
+                if keep.any():
+                    targets.append(q[keep])
+                    tkeys.append(pack(fi, n[keep]))
         q = np.concatenate(targets)
         qkey = np.concatenate(tkeys)
         if len(F) > 1:
@@ -502,19 +585,7 @@ def verify_decomposition(S: WindowedSet, L: Lattice, F,
             # the stable sort merges the residues' runs
             order = np.argsort(qkey, kind="stable")
             q, qkey = q[order], qkey[order]
-        # every (window point, target) pair sharing a key
-        wk = keys.ravel()
-        at = np.minimum(np.searchsorted(qkey, wk), len(qkey) - 1)
-        hit = np.flatnonzero(qkey[at] == wk)
-        at = at[hit]
-        d = np.full(len(q), np.inf)
-        np.minimum.at(d, at, np.linalg.norm(pts[hit % npts] - q[at], axis=1))
-        ok = d <= tol_exact
-        checked_in = len(q)
-        found_in = int(ok.sum())
-        if ok.any():
-            max_residual = float(d[ok].max())
-        wit_in = q[~ok][:10]
+        wit_in = q[np.isin(qkey, seen, invert=True)][:10]
 
     sigma = float(np.linalg.norm(L.basis, axis=1).sum())
     core = np.flatnonzero(S.norms() <= R - sigma)
@@ -522,11 +593,12 @@ def verify_decomposition(S: WindowedSet, L: Lattice, F,
     found_out = 0
     wit_out = np.zeros((0, S.dim))
     if checked_out:
-        ok = best[core] <= tol_exact
+        best = best[core]
+        ok = best <= tol_exact
         found_out = int(ok.sum())
         if ok.any():
-            max_residual = max(max_residual, float(best[core][ok].max()))
-        wit_out = pts[core][~ok][:10]
+            max_residual = max(max_residual, float(best[ok].max()))
+        wit_out = pts[core[~ok][:10]]
 
     coverage_in = found_in / checked_in if checked_in else 1.0
     coverage_out = found_out / checked_out if checked_out else 1.0
@@ -704,9 +776,9 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
     reads the whole window.
 
     Candidates are the anchor differences c - a, a the window point nearest
-    the origin: a period T with |T| <= r maps a onto a window point. They
-    are harvested once up to the largest ladder radius and checked one
-    annulus per step, each exactly once, by verify_exact_period alone (an
+    the origin: a period T with |T| <= r maps a onto a window point. Each
+    ladder step harvests its own annulus when it starts, and each candidate
+    is checked exactly once, by verify_exact_period alone (an
     anchor difference is the vector an almost period would snap to, so it is
     its own Period). The run keeps one lattice, the closure of the verified
     periods: seeded by the shortest independent ones once they span p
@@ -789,16 +861,13 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
             diagnostics=diag,
         )
     try:
-        harvest = candidate_almost_periods(S, eps, r_min, ladder[-1])
+        _check_anchor_core(S, eps, r_min, ladder[-1])
     except WindowTooSmall as e:
         return NoCrystalEvidence(
             stage="candidate-generation", reason=str(e), diagnostics=diag
         )
     # the candidates' anchor, which every screen ball holds
     anchor = _frozen(S.points[np.argmin(S.norms())])
-    # each candidate belongs to the first ladder step whose radius covers it
-    step_of = np.searchsorted(np.asarray(ladder) + TOL_EQ,
-                              np.linalg.norm(harvest, axis=1))
 
     periods: list[Period] = []
     # seeded by the shortest independent periods, not a cone basis: against
@@ -814,7 +883,11 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
     for step, r_cur in enumerate(ladder):
         diag["r_max_reached"] = r_cur
         diag["ladder_steps"] = step + 1
-        cands = harvest[step_of == step]
+        # the step's annulus: a candidate belongs to the first step whose
+        # radius covers it
+        cands = _anchor_differences(S, r_min,
+                                    ladder[step - 1] if step else -np.inf,
+                                    r_cur)
         n_candidates += len(cands)
         scr = _screen_source(S, r_cur)
         # cone[j-1] marks the candidates inside the cone of axis j

@@ -104,6 +104,13 @@ class WindowedSet:
 
         with np.errstate(over="ignore"):  # inf fails the radius check
             norms = np.linalg.norm(pts, axis=1) if len(pts) else np.zeros(0)
+            # squares past the float range: such a row alone is scaled by
+            # its largest coordinate, so no other norm changes a bit
+            big = np.flatnonzero(np.isinf(norms))
+            if len(big):
+                top = np.abs(pts[big]).max(axis=1)
+                norms[big] = top * np.linalg.norm(pts[big] / top[:, None],
+                                                  axis=1)
         norms.flags.writeable = False
         self._norms = norms
 

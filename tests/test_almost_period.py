@@ -26,10 +26,12 @@ from idealcrystal import (
     candidate_almost_periods,
     difference_vectors,
     gen_ideal_crystal,
+    gen_perturbed_lattice,
     is_almost_period,
     snap_to_period,
     verify_exact_period,
 )
+from idealcrystal.almost_period import _anchor_differences
 
 
 def integer_line(R=10.0):
@@ -285,6 +287,70 @@ def test_candidates_keep_the_shell_at_r_max_exactly(dim, offset):
     # the 24 signed permutations of (2, 2, 1); so is the planted point inside
     assert (lengths == r_max).sum() == {1: 2, 2: 4, 3: 30}[dim]
     assert lengths.max() == (r_max if dim == 1 else r_max + TOL_EQ / 2)
+
+
+def _split_boundary(norms):
+    """A ladder radius b that cuts a chain of lengths within TOL_EQ of each
+    other: its shortest length nu has nu <= b + TOL_EQ, the next does not.
+    None when no two lengths differ by TOL_EQ or less."""
+    nu = np.sort(norms)
+    gap = np.diff(nu)
+    tied = np.flatnonzero((gap > 0) & (gap <= TOL_EQ))
+    if not len(tied):
+        return None
+    lo, hi = nu[tied[0]], nu[tied[0] + 1]
+    b = lo - TOL_EQ
+    for _ in range(64):
+        if lo <= b + TOL_EQ < hi:
+            return b
+        b = np.nextafter(b, np.inf if b + TOL_EQ < lo else -np.inf)
+    raise AssertionError("no radius splits the chain")
+
+
+@pytest.mark.parametrize("S, r_min, top", [
+    (gen_ideal_crystal([[1.0, 0.0], [0.3, 1.1]],
+                       [[0.31, 0.17], [0.81, 0.72]], 20.0), 0.3, 9.0),
+    (gen_ideal_crystal([[1.0, 0.1, 0.0], [0.0, 1.1, 0.2], [0.1, 0.0, 0.9]],
+                       [[0.13, 0.27, 0.06], [0.58, 0.57, 0.56]], 8.0),
+     0.3, 3.5),
+    (gen_ideal_crystal([[1.3]], [[0.05], [0.45], [0.95]], 40.0), 0.3, 19.0),
+    (gen_perturbed_lattice([[1.0]], 0.1, [np.sqrt(2.0)], 400.0), 0.5, 190.0),
+], ids=["p2-two-residues", "p3-two-residues", "p1-three-residues",
+        "perturbed-sqrt2-line"])
+def test_step_harvests_are_the_one_harvest_cut_by_step(S, r_min, top):
+    whole = candidate_almost_periods(S, 0.01, r_min, top)
+    norms = np.linalg.norm(whole, axis=1)
+
+    def steps(ladder):
+        got = [_anchor_differences(S, r_min, ladder[k - 1] if k else -np.inf,
+                                   r) for k, r in enumerate(ladder)]
+        # each step holds the one harvest's rows of that step (the ladder
+        # rule of recover_crystal), in its order
+        step_of = np.searchsorted(np.asarray(ladder) + TOL_EQ, norms)
+        for k, rows in enumerate(got):
+            assert len(rows), k
+            assert rows.tobytes() == whole[step_of == k].tobytes(), k
+        return got, step_of
+
+    # boundaries within TOL_EQ of a candidate length on either side: the
+    # steps concatenate to the one harvest
+    nu = np.sort(norms)
+    ladder = [nu[len(nu) // 5] - TOL_EQ, nu[2 * len(nu) // 5] - TOL_EQ / 2,
+              nu[3 * len(nu) // 5] + TOL_EQ / 2, top]
+    got, _ = steps(ladder)
+    assert np.concatenate(got).tobytes() == whole.tobytes()
+    # a boundary that cuts a chain of near-tied lengths, where the window
+    # has one: the chain's order interleaves the two steps, each part keeps
+    # it
+    split = _split_boundary(norms)
+    if S.dim > 1:
+        assert split is not None
+    if split is not None:
+        ladder = sorted(ladder + [split])
+        _, step_of = steps(ladder)
+        cut = ladder.index(split)
+        near = np.abs(norms - split) <= 2 * TOL_EQ
+        assert set(step_of[near]) == {cut, cut + 1}
 
 
 def test_candidates_window_too_small():

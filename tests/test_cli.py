@@ -130,6 +130,23 @@ def test_analyze_malformed_input_exit_1(tmp_path):
     assert "error:" in a.stderr
 
 
+@pytest.mark.parametrize("text", [
+    "1e160,0\n0,0\n",
+    "".join(f"{x * 1e160!r},{y * 1e160!r}\n"
+            for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y <= 25),
+], ids=["two-points", "scaled-disc"])
+def test_analyze_window_with_overflowing_squares(tmp_path, text):
+    # the squares of 1e160 overflow, the norms do not: the window loads and
+    # the run ends in a staged verdict
+    src = tmp_path / "big.csv"
+    src.write_text(text)
+    a = run("analyze", str(src))
+    assert a.returncode == 3, a.stderr
+    assert a.stderr == ""
+    rep = json.loads(a.stdout)
+    assert rep["verdict"] == "no-crystal" and rep["stage"]
+
+
 def test_analyze_bad_json_exit_1():
     # each used to end in a traceback instead of "error: ..."
     for text in ['{"radius": "abc", "points": [[1.0]]}',

@@ -48,7 +48,13 @@ from idealcrystal import (
 )
 from idealcrystal.almost_period import TOL_EXACT, candidate_almost_periods
 from idealcrystal.config import RunConfig
-from idealcrystal.crystal import _coord_bounds, _lattice_points
+from idealcrystal.crystal import (
+    _coord_bounds,
+    _count_targets,
+    _lattice_points,
+    _row_norms,
+    _ulp_widened,
+)
 from idealcrystal.pointset import TOL_EQ
 
 
@@ -407,6 +413,52 @@ def test_lattice_points_match_box_scan(case):
         assert np.all(n[:, :p - 2] == n[0, :p - 2])
 
 
+@st.composite
+def _count_cases(draw):
+    B, radius = draw(_enumeration_cases())
+    p = B.shape[0]
+    # an off-centre residue, up to one cell from the origin
+    f = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=p,
+                               max_size=p))) @ B
+    return B, f, radius * draw(st.floats(0.0, 1.0))
+
+
+def _rim_case(p: int, scale: float):
+    # lim is the norm of a target, to the bit
+    B = np.eye(p) * scale
+    f = np.full(p, 0.5 * scale)
+    t = np.arange(3, 3 + p, dtype=np.int64)[None] @ B
+    return B, f, float(np.linalg.norm(t + f, axis=1)[0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          database=None)
+@given(_count_cases())
+@example((np.eye(2), np.zeros(2), 5.0))
+@example(_rim_case(1, 1.0))
+@example(_rim_case(2, 1e-4))
+@example(_rim_case(3, 1e6))
+@example(_rim_case(4, 1.0))
+@example((np.array([[2.0]]), np.array([0.7]), 0.0))
+@example((np.eye(2), np.zeros(2), -1.0))
+def test_count_targets_matches_enumeration(case):
+    B, f, lim = case
+    inv = np.linalg.inv(B)
+    radius = _ulp_widened(max(lim, 0.0) + float(np.linalg.norm(f)))
+    want = sum(int((np.linalg.norm(t + f, axis=1) <= lim).sum())
+               for _, t in _lattice_points(B, inv, radius))
+    assert _count_targets(B, inv, radius, f, lim) == want
+
+
+@pytest.mark.parametrize("p", range(1, 11))
+def test_row_norms_match_numpy_bit_for_bit(p):
+    rng = np.random.default_rng(p)
+    v = rng.normal(size=(500, p)) * 10.0 ** rng.uniform(-6, 6, (500, p))
+    for rows in (v, v[::3], v[:1]):
+        assert (_row_norms(rows).tobytes()
+                == np.linalg.norm(rows, axis=1).tobytes())
+
+
 # reference: the KD-tree form of verify_decomposition, one nearest-neighbour
 # query per box-scan slab and residue
 
@@ -526,6 +578,21 @@ def _verify_parity_cases():
     tess_holed = WindowedSet(
         np.delete(tess.points, rng.choice(len(tess), size=12, replace=False),
                   axis=0), tess.radius)
+    # two points 6e-9 apart, 2e-9 and 4e-9 from one target outside the
+    # core: one hit key twice, whose residual is the nearer point's
+    out = order[np.searchsorted(plane.norms()[order], plane.radius - 1.0)]
+    a = plane.points[out]
+    twin = WindowedSet(
+        np.concatenate([np.delete(plane.points, out, axis=0),
+                        [a + [2e-9, 0.0], a - [4e-9, 0.0]]]), plane.radius)
+    # a missing target whose norm is R - tol_exact to the bit: it counts
+    # and is the only witness
+    rim_R, rim_t = _rim_radius(plane_B)
+    rim_plane = gen_ideal_crystal(plane_B, plane_F, rim_R)
+    rim = WindowedSet(
+        np.delete(rim_plane.points,
+                  np.argmin(np.linalg.norm(rim_plane.points - rim_t, axis=1)),
+                  axis=0), rim_R)
     return [
         ("p1-line", line, line_B, line_F),
         ("p1-one-residue", line, line_B, line_F[:1]),
@@ -540,7 +607,22 @@ def _verify_parity_cases():
         ("p3-holes", cube_holed, cube_B, [[0.0, 0.0, 0.0]]),
         ("p3-two-residues-holes", cube2_holed, cube_B, cube_F),
         ("p4-two-residues-holes", tess_holed, tess_B, tess_F),
+        ("p2-twin-hit", twin, plane_B, plane_F),
+        ("p2-rim", rim, plane_B, plane_F),
     ]
+
+
+def _rim_radius(B):
+    """A radius R with R - TOL_EXACT equal to |t| to the bit, t = (7, 3) B,
+    and that t."""
+    t = np.array([[7, 3]]) @ np.asarray(B)
+    norm = float(np.linalg.norm(t, axis=1)[0])
+    R = norm + TOL_EXACT
+    for _ in range(64):
+        if R - TOL_EXACT == norm:
+            return R, t[0]
+        R = np.nextafter(R, np.inf if R - TOL_EXACT < norm else -np.inf)
+    raise AssertionError("no radius puts the target on the rim")
 
 
 @pytest.mark.parametrize("name,S,B,F", _verify_parity_cases(),
@@ -567,6 +649,29 @@ def test_verify_parity_cases_cover_every_outcome():
     for name in ("p3-two-residues-holes", "p4-two-residues-holes"):
         assert len(seen[name].witnesses_in) == 10, name
         assert seen[name].coverage_out == 1.0, name
+    assert seen["p2-twin-hit"].verified
+    assert seen["p2-twin-hit"].max_residual == pytest.approx(2e-9, rel=0.01)
+    assert seen["p2-twin-hit"].checked_in == seen["p2-plane"].checked_in
+    rim_t = _rim_radius(seen["p2-rim"].lattice.basis)[1]
+    assert seen["p2-rim"].witnesses_in.tolist() == [rim_t.tolist()]
+
+
+def test_verified_crystal_enumerates_no_targets(monkeypatch):
+    # targets are counted; they are listed only to name a missed one
+    plane = gen_ideal_crystal([[1.0, 0.0], [0.3, 1.1]],
+                              [[0.0, 0.0], [0.5, 0.55]], 20.0)
+    holed = WindowedSet(
+        np.delete(plane.points, np.argmin(plane.norms()), axis=0), 20.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("targets enumerated")
+
+    monkeypatch.setattr(crystal_mod, "_lattice_points", refuse)
+    L = build_lattice([[1.0, 0.0], [0.3, 1.1]])
+    assert verify_decomposition(plane, L, [[0.0, 0.0], [0.5, 0.55]]).verified
+    assert isinstance(recover_crystal(plane), CrystalDecomposition)
+    with pytest.raises(AssertionError, match="targets enumerated"):
+        verify_decomposition(holed, L, [[0.0, 0.0], [0.5, 0.55]])
 
 
 def test_verify_refuses_tolerance_past_half_cell():

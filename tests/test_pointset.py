@@ -306,17 +306,44 @@ def test_csv_label_with_a_line_break_stays_a_comment(brk):
 
 
 @pytest.mark.parametrize("fmt, text", [
-    ("csv", "1e200,1e200\n0,0\n"),
-    ("json", '{"points": [[1e200, 1e200], [0, 0]]}'),
-    ("json", '{"radius": 5, "points": [[1e200, 1e200], [0, 0]]}'),
+    ("csv", "1.5e308,1.5e308\n0,0\n"),
+    ("json", '{"points": [[1.5e308, 1.5e308], [0, 0]]}'),
+    ("json", '{"radius": 5, "points": [[1.5e308, 1.5e308], [0, 0]]}'),
 ], ids=["csv", "json", "json-radius"])
 def test_overflowing_norm_is_a_parse_error_without_warning(fmt, text):
-    # |(1e200, 1e200)| is past the float range: no finite radius holds the
-    # point, in either format, and numpy's overflow warning stays quiet
+    # |(1.5e308, 1.5e308)| is past the float range: no finite radius holds
+    # the point, in either format, and numpy's overflow warning stays quiet
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ParseError, match="radius"):
             load_points(text, fmt)
+
+
+@pytest.mark.parametrize("fmt, text, radius", [
+    ("csv", "1e160,0\n0,0\n", 1e160),
+    ("json", '{"points": [[1e200, 1e200], [0, 0]]}', 1e200 * np.sqrt(2.0)),
+], ids=["csv", "json"])
+def test_norm_whose_squares_overflow_loads(fmt, text, radius):
+    # the squares of 1e160 are past the float range, the norm is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        S = load_points(text, fmt)
+    assert S.radius == pytest.approx(radius, rel=1e-15)
+    assert S.norms()[0] == 0.0
+
+
+def test_scaled_norms_leave_ordinary_rows_alone():
+    rng = np.random.default_rng(5)
+    pts = rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-8, 150, (200, 1))
+    huge = np.array([[1e160, -3e159, 2e158], [0.0, 0.0, -1e300]])
+    S = WindowedSet(np.concatenate([pts, huge]), 1e300)
+    with np.errstate(over="ignore"):
+        ordinary = np.isfinite(np.linalg.norm(S.points, axis=1))
+    assert ordinary.sum() == 200
+    assert (S.norms()[ordinary].tobytes()
+            == np.linalg.norm(S.points[ordinary], axis=1).tobytes())
+    assert sorted(S.norms()[~ordinary]) == pytest.approx(
+        [np.sqrt(10.0**2 + 3.0**2 + 0.2**2) * 1e159, 1e300], rel=1e-15)
 
 
 def test_non_utf8_input_is_a_parse_error():
@@ -430,8 +457,7 @@ def test_json_rendering_matches_per_coordinate_reference():
             "points": [[float(c) for c in row] for row in S.points],
         }) + "\n"
 
-    # 1e300 cannot be a coordinate: its norm overflows, so no finite
-    # radius holds it; 1e150 is the large-magnitude case instead
+    # 1e150 is the large-magnitude case
     rng = np.random.default_rng(11)
     pts = np.concatenate([
         [[-0.0, 5e-324], [1e150, 0.0], [3.0, -7.0], [1e16, 2.0],
