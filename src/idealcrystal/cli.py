@@ -80,15 +80,16 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _add_config_flags(sub) -> None:
-    sub.add_argument("--strategy", choices=STRATEGIES, default="greedy-det")
-    sub.add_argument("--cone-scale", type=float, default=1.0)
-    sub.add_argument("--r-min", type=float, default=None)
-    sub.add_argument("--r-max", type=float, default=None)
-    sub.add_argument("--core-margin", type=float, default=None)
-    sub.add_argument("--tol-exact", type=float, default=1e-8)
-    sub.add_argument("--max-denominator", type=int, default=64)
-    sub.add_argument("--min-points", type=int, default=50)
-    sub.add_argument("--output", choices=OUTPUT_MODES, default="json")
+    d = RunConfig()
+    sub.add_argument("--strategy", choices=STRATEGIES, default=d.strategy)
+    sub.add_argument("--cone-scale", type=float, default=d.cone_scale)
+    sub.add_argument("--r-min", type=float, default=d.r_min)
+    sub.add_argument("--r-max", type=float, default=d.r_max)
+    sub.add_argument("--core-margin", type=float, default=d.core_margin)
+    sub.add_argument("--tol-exact", type=float, default=d.tol_exact)
+    sub.add_argument("--max-denominator", type=int, default=d.max_denominator)
+    sub.add_argument("--min-points", type=int, default=d.min_points)
+    sub.add_argument("--output", choices=OUTPUT_MODES, default=d.output)
     sub.add_argument("--out", default=None, help="write report to this path")
 
 

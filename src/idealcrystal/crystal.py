@@ -296,58 +296,55 @@ def _ulp_widened(radius: float) -> float:
     return radius * (1.0 + 8 * np.finfo(np.float64).eps)
 
 
-def _lattice_points(basis: np.ndarray, inv: np.ndarray, radius: float):
-    """Yield (n, t = n B) for the lattice points with |t| <= radius + TOL_EQ
-    in lexicographic order of n, the integer coordinates, in blocks.
+def _column_intervals(basis: np.ndarray, inv: np.ndarray, radius: float,
+                      f, lim: float, pad: int):
+    """The columns of the _coord_bounds box of radius and, per column, the
+    interval of the last coordinate that meets the ball |t + f| <= lim.
 
-    The first p - 1 coordinates run over the _coord_bounds box. For each
-    such column u = n_1 b_1 + ... + n_{p-1} b_{p-1}, the last coordinate k
-    runs over the solutions of |u + k b_p|^2 <= (radius + TOL_EQ)^2, widened
-    by one on each side against rounding and clipped to the box. The norm
-    test on t = n B then keeps exactly the rows, and the bits, of a scan of
-    the whole box. A block holds the columns that share their first p - 2
-    coordinates, one 2-D section of the ball: the whole ball for p = 2, one
-    n_1 slab for p = 3.
+    A column is a choice of the first p - 1 coordinates, in lexicographic
+    order, u = n_1 b_1 + ... + n_{p-1} b_{p-1}; for p = 1 there is one, the
+    empty choice. The last coordinate k runs over the solutions of
+    |u + f + k b_p| <= lim, widened by pad on each side against rounding and
+    clipped to the box: the rows lo, ..., lo + count - 1.
     """
     p = basis.shape[0]
     bounds = _coord_bounds(inv, radius)
-    rho = radius + TOL_EQ
-    if p == 1:
-        n = np.arange(-bounds[0], bounds[0] + 1)[:, None]
-        t = n * basis[0]
-        keep = np.linalg.norm(t, axis=1) <= rho
-        if keep.any():
-            yield n[keep], t[keep]
-        return
-    grids = np.meshgrid(*[np.arange(-b, b + 1) for b in bounds[:-1]],
-                        indexing="ij")
-    cols = np.stack([g.ravel() for g in grids], axis=1)
-    u = cols @ basis[:-1]
+    widths = [2 * b + 1 for b in bounds[:-1]]
+    cols = np.indices(widths).reshape(p - 1, math.prod(widths)).T - bounds[:-1]
+    u = cols @ basis[:-1] + f
     last = basis[-1]
     sq = float(last @ last)
     # u + k0 b_p is the point of the column's line nearest the origin; its
     # norm is taken from the vector, so no |u|^2 - (u.b_p)^2/|b_p|^2 cancels
     k0 = -(u @ last) / sq
     perp = u + k0[:, None] * last
-    half = np.sqrt(np.maximum(rho * rho - np.einsum("ij,ij->i", perp, perp),
+    half = np.sqrt(np.maximum(lim * lim - np.einsum("ij,ij->i", perp, perp),
                               0.0) / sq)
-    lo = np.maximum(np.ceil(k0 - half) - 1, -bounds[-1]).astype(np.int64)
-    hi = np.minimum(np.floor(k0 + half) + 1, bounds[-1]).astype(np.int64)
-    count = np.maximum(hi - lo + 1, 0)
-    width = 2 * bounds[-2] + 1
-    for s in range(0, len(cols), width):
-        c = count[s:s + width]
-        m = int(c.sum())
-        if not m:
-            continue
-        n = np.empty((m, p), dtype=np.int64)
-        n[:, :-1] = np.repeat(cols[s:s + width], c, axis=0)
-        start = np.cumsum(c) - c
-        n[:, -1] = np.arange(m) - np.repeat(start - lo[s:s + width], c)
-        t = n @ basis
-        keep = np.linalg.norm(t, axis=1) <= rho
-        if keep.any():
-            yield n[keep], t[keep]
+    lo = np.maximum(np.ceil(k0 - half) - pad, -bounds[-1]).astype(np.int64)
+    hi = np.minimum(np.floor(k0 + half) + pad, bounds[-1]).astype(np.int64)
+    return cols, lo, np.maximum(hi - lo + 1, 0)
+
+
+def _lattice_points(basis: np.ndarray, inv: np.ndarray, radius: float):
+    """(n, t = n B) for the lattice points with |t| <= radius + TOL_EQ, in
+    lexicographic order of n, the integer coordinates.
+
+    Each column's interval (_column_intervals, widened by one) holds every
+    such point, so the norm test on t then keeps exactly the rows of a scan
+    of the whole _coord_bounds box. t is one product over all rows, so its
+    bits do not depend on how the rows are grouped.
+    """
+    p = basis.shape[0]
+    rho = radius + TOL_EQ
+    cols, lo, count = _column_intervals(basis, inv, radius, 0.0, rho, 1)
+    m = int(count.sum())
+    n = np.empty((m, p), dtype=np.int64)
+    n[:, :-1] = np.repeat(cols, count, axis=0)
+    start = np.cumsum(count) - count
+    n[:, -1] = np.arange(m) - np.repeat(start - lo, count)
+    t = n @ basis
+    keep = np.linalg.norm(t, axis=1) <= rho
+    return n[keep], t[keep]
 
 
 def residues(S: WindowedSet, L: Lattice) -> np.ndarray:
@@ -439,37 +436,22 @@ def _count_targets(basis: np.ndarray, inv: np.ndarray, radius: float,
     """Number of rows (n, t) of _lattice_points(basis, inv, radius) with
     |t + f| <= lim, for lim + |f| within radius, none of them enumerated.
 
-    Each column u = n_1 b_1 + ... + n_{p-1} b_{p-1} of the _coord_bounds box
-    meets the ball |t + f| <= lim in an interval of the last coordinate k,
-    solved as in _lattice_points and widened by two on each side. Rounding
-    moves each end of the solved interval by less than one row, so the
-    first and last three rows of the widened one hold every row whose
-    membership is in doubt: only they get the norm test on t + f, with t =
-    n B as the enumeration forms it, and the rows between them count
-    untested.
+    Each column's interval of the ball |t + f| <= lim (_column_intervals,
+    widened by two) holds them all. Rounding moves each end of the solved
+    interval by less than one row, so the first and last three rows of the
+    widened one hold every row whose membership is in doubt: only they get
+    the norm test on t + f, with t = n B as the enumeration forms it, and
+    the rows between them count untested.
     """
     if lim < 0:
         return 0
-    p = basis.shape[0]
-    bounds = _coord_bounds(inv, radius)
-    widths = [2 * b + 1 for b in bounds[:-1]]
-    cols = np.indices(widths).reshape(p - 1, math.prod(widths)).T - bounds[:-1]
-    u = cols @ basis[:-1] + f
-    last = basis[-1]
-    sq = float(last @ last)
-    k0 = -(u @ last) / sq
-    perp = u + k0[:, None] * last
-    half = np.sqrt(np.maximum(lim * lim - np.einsum("ij,ij->i", perp, perp),
-                              0.0) / sq)
-    lo = np.maximum(np.ceil(k0 - half) - 2, -bounds[-1]).astype(np.int64)
-    hi = np.minimum(np.floor(k0 + half) + 2, bounds[-1]).astype(np.int64)
-    count = np.maximum(hi - lo + 1, 0)
+    cols, lo, count = _column_intervals(basis, inv, radius, f, lim, 2)
     inside = np.maximum(count - 6, 0)
     # rows lo, lo+1, lo+2 and hi-2, hi-1, hi; all rows of a shorter interval
     j = np.arange(6)
     k = lo[:, None] + j + (j >= 3) * inside[:, None]
     tested = j < count[:, None]
-    n = np.empty((int(tested.sum()), p), dtype=np.int64)
+    n = np.empty((int(tested.sum()), basis.shape[0]), dtype=np.int64)
     n[:, :-1] = np.repeat(cols, 6, axis=0)[tested.ravel()]
     n[:, -1] = k[tested]
     q = n @ basis + f
@@ -496,9 +478,10 @@ def verify_decomposition(S: WindowedSet, L: Lattice, F,
     |t + f| <= R - tol_exact and |a - (t + f)| <= tol_exact hits the target
     keyed by (n_1, f, n_2, ..., n_p) in one int64. Inclusion in compares the
     distinct keys hit, each with its nearest point's residual, with the
-    number of targets, which _count_targets counts. Only when a target is
-    missed are the targets enumerated, in key order, to list the first ten
-    whose key no point hit. A larger tolerance, or a key range past int64,
+    number of targets, which _count_targets counts from the interval solve
+    _lattice_points shares. Only when a target is missed is the ball
+    enumerated (_lattice_points), and the missed targets sorted by key once,
+    to list the first ten. A larger tolerance, or a key range past int64,
     raises ConfigError.
     """
     F = np.asarray(F, dtype=np.float64).reshape(-1, S.dim)
@@ -569,23 +552,17 @@ def verify_decomposition(S: WindowedSet, L: Lattice, F,
         if len(d):
             max_residual = float(d.max())
     if found_in < checked_in:
+        n, t = _lattice_points(L.basis, L.inv, enum_r)
         targets, tkeys = [], []
-        for n, t in _lattice_points(L.basis, L.inv, enum_r):
-            for fi, f in enumerate(F):
-                q = t + f
-                keep = np.linalg.norm(q, axis=1) <= lim
-                if keep.any():
-                    targets.append(q[keep])
-                    tkeys.append(pack(fi, n[keep]))
+        for fi, f in enumerate(F):
+            q = t + f
+            keep = np.linalg.norm(q, axis=1) <= lim
+            targets.append(q[keep])
+            tkeys.append(pack(fi, n[keep]))
         q = np.concatenate(targets)
         qkey = np.concatenate(tkeys)
-        if len(F) > 1:
-            # each residue's targets are in key order, but a block spans
-            # several n_1 (p = 2) or shares its n_1 with others (p >= 4);
-            # the stable sort merges the residues' runs
-            order = np.argsort(qkey, kind="stable")
-            q, qkey = q[order], qkey[order]
-        wit_in = q[np.isin(qkey, seen, invert=True)][:10]
+        miss = np.flatnonzero(np.isin(qkey, seen, invert=True))
+        wit_in = q[miss[np.argsort(qkey[miss], kind="stable")[:10]]]
 
     sigma = float(np.linalg.norm(L.basis, axis=1).sum())
     core = np.flatnonzero(S.norms() <= R - sigma)
@@ -693,36 +670,13 @@ def _local_scales(S: WindowedSet, core_margin: float) -> tuple[float, float]:
     return _core_max(nn, norms[near], S.radius, core_margin), float(nn.min())
 
 
-def _gap_source(S: WindowedSet, D: float) -> WindowedSet:
-    """Ball about the origin the finite-type gap's pair sweep runs on, of
-    radius r = |a| + 0.6 (D + 1) + max(4D, 2), a the window point nearest
-    the origin (the harvest's anchor); the whole window once r reaches R.
-
-    Finite type is local. A period v with |v| <= D + 1, the sweep's cutoff,
-    maps a to a + v and a - v, points of A of norm at most |a| + D + 1 < r
-    (0.6 (D + 1) + max(4D, 2) > D + 1 for D > 0). So (a, a + v) and
-    (a - v, a) realize v inside the ball, and shrinking the window to it
-    loses only differences tied to one location. The ball holds the
-    anchor, so an empty centre never empties it.
-    """
-    r = float(S.norms().min()) + 0.6 * (D + 1.0) + max(4.0 * D, 2.0)
-    if r >= S.radius * 0.999:
-        return S
-    return window_restrict(S, r)
-
-
-def _screen_source(S: WindowedSet, r_cur: float) -> WindowedSet:
-    """Ball about the origin candidates are verified against, of radius
-    |a| + 2.2 r_cur + 2, a the window point nearest the origin (the
-    harvest's anchor); the whole window once that reaches R.
-
-    No pair sweep runs here: each ladder step makes one batched probe query
-    (_probe_rejections) and exact checks on the candidates it leaves, so
-    the only constraint is a core wide enough for |tau| up to r_cur around
-    the anchor. The ball holds the anchor, so an empty centre never empties
-    it.
-    """
-    r = float(S.norms().min()) + 2.2 * r_cur + 2.0
+def _anchor_ball(S: WindowedSet, reach: float, pad: float) -> WindowedSet:
+    """Ball about the origin of radius |a| + reach + pad, a the window point
+    nearest the origin (the harvest's anchor); the whole window once that
+    reaches 0.999 R. The ball holds the anchor, so an empty centre never
+    empties it. The sum runs left to right: a screen's radius reaches the
+    report through each period's verified_radius."""
+    r = float(S.norms().min()) + reach + pad
     if r >= S.radius * 0.999:
         return S
     return window_restrict(S, r)
@@ -770,7 +724,7 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
 
     D and the minimum separation, which caps epsilon and sets the default
     r_min, are measured on the window points nearest the origin
-    (_local_scales), the finite-type gap on a ball about it (_gap_source).
+    (_local_scales), the finite-type gap on a ball about it (_anchor_ball).
     The hypotheses they test hold uniformly in a crystal; a window broken
     away from the origin is refused by the decomposition check, which
     reads the whole window.
@@ -810,9 +764,25 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
     R = S.radius
     margin = cfg.core_margin if cfg.core_margin is not None else R / 10
     D, min_sep = _local_scales(S, margin)
+    if not (math.isfinite(D) and math.isfinite(min_sep)):
+        # the neighbour distances square coordinate differences
+        return NoCrystalEvidence(
+            stage="input",
+            reason=(
+                f"nearest-neighbour distances overflow float64: coordinates "
+                f"reach {float(np.abs(S.points).max()):g}, and lengths past "
+                f"about 1e154 cannot be squared"
+            ),
+            diagnostics=diag,
+        )
     diag.update(D=D, core_margin=margin)
 
-    gap_src = _gap_source(S, D)
+    # finite type is local: a period v with |v| <= D + 1, the gap sweep's
+    # cutoff, maps the anchor a to a + v and a - v, points of norm at most
+    # |a| + D + 1, inside this ball (0.6 (D + 1) + max(4D, 2) > D + 1 for
+    # D > 0). So (a, a + v) and (a - v, a) realize v in the ball, and
+    # shrinking the window to it loses only differences tied to one location
+    gap_src = _anchor_ball(S, 0.6 * (D + 1.0), max(4.0 * D, 2.0))
     try:
         gapinfo = finite_type_gap(gap_src, D)
     except DegenerateGap as e:
@@ -889,7 +859,10 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
                                     ladder[step - 1] if step else -np.inf,
                                     r_cur)
         n_candidates += len(cands)
-        scr = _screen_source(S, r_cur)
+        # no pair sweep runs on the screen: the probe pass and the exact
+        # checks only need a core wide enough for |tau| up to r_cur around
+        # the anchor
+        scr = _anchor_ball(S, 2.2 * r_cur, 2.0)
         # cone[j-1] marks the candidates inside the cone of axis j
         cone = np.array([_cone_mask(cands, j, p, cfg.cone_scale)
                          for j in range(1, p + 1)])

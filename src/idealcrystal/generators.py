@@ -6,6 +6,10 @@ but not finite type (the difference set smears), at a rational frequency it
 collapses back to a crystal. gen_cut_and_project produces the canonical
 finite-type-but-aperiodic control, and gen_poisson is the structureless
 null model.
+
+The lattice generators take their lattice points from the decomposition
+check's ball enumeration (crystal._lattice_points), in one array, and check
+their basis with crystal.build_lattice under their own determinant floor.
 """
 
 from __future__ import annotations
@@ -15,43 +19,29 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .crystal import COORD_TOL, _lattice_points, _ulp_widened
+from .crystal import COORD_TOL, _lattice_points, _ulp_widened, build_lattice
 from .errors import (
     AmplitudeTooLarge,
     ConfigError,
     CosetCollision,
     EmptyAcceptanceWindow,
-    SingularBasis,
 )
 from .pointset import TOL_EQ, WindowedSet
 
-
-def _basis_and_inverse(basis) -> tuple[np.ndarray, np.ndarray]:
-    B = np.array(basis, dtype=np.float64)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise ConfigError(f"basis must be square, got shape {B.shape}")
-    det = np.linalg.det(B)
-    floor = 1e-9 * float(np.prod(np.linalg.norm(B, axis=1)))
-    if not abs(det) > floor:
-        raise SingularBasis(f"|det| = {abs(det):.3e} is numerically zero")
-    return B, np.linalg.inv(B)
-
-
-def _shortest_lattice_vector(B: np.ndarray) -> float:
-    """Length of the shortest nonzero lattice vector (enumerated)."""
-    p = B.shape[0]
-    min_row = float(np.linalg.norm(B, axis=1).min())
-    sigma_min = float(np.linalg.svd(B, compute_uv=False).min())
-    m = max(2, int(np.ceil(min_row / sigma_min)) + 1)
-    grids = np.meshgrid(*[np.arange(-m, m + 1)] * p, indexing="ij")
-    n = np.stack([g.ravel() for g in grids], axis=1)
-    n = n[np.any(n != 0, axis=1)]
-    return float(np.linalg.norm(n @ B, axis=1).min())
+#: The generators refuse a basis with |det| <= _DET_FLOOR * prod |B_j|, a
+#: looser floor than build_lattice's default.
+_DET_FLOOR = 1e-9
 
 
 def gen_ideal_crystal(basis, F, R: float, label: str = "") -> WindowedSet:
-    """All points t + f with t in the lattice of basis, f in F, |t+f| <= R."""
-    B, inv = _basis_and_inverse(basis)
+    """All points t + f with t in the lattice of basis, f in F, |t+f| <= R.
+
+    The lattice points t are the ball |t| <= R + max |f| (_lattice_points),
+    so t + f is formed from the same t = n B for every residue.
+    """
+    B = np.array(basis, dtype=np.float64)
+    inv = build_lattice(B, det_floor=_DET_FLOOR * float(
+        np.prod(np.linalg.norm(np.atleast_2d(B), axis=1)))).inv
     p = B.shape[0]
     F = np.asarray(F, dtype=np.float64)
     if F.ndim != 2 or F.shape[1] != p:
@@ -73,18 +63,14 @@ def gen_ideal_crystal(basis, F, R: float, label: str = "") -> WindowedSet:
                 )
 
     max_f = float(np.linalg.norm(F, axis=1).max())
+    t = _lattice_points(B, inv, _ulp_widened(R + max_f))[1]
     pieces = []
-    for _, chunk in _lattice_points(B, inv, _ulp_widened(R + max_f)):
-        for f in F:
-            pts = chunk + f
-            keep = np.linalg.norm(pts, axis=1) <= R + TOL_EQ
-            if keep.any():
-                pieces.append(pts[keep])
-    if not pieces:
-        points = np.zeros((0, p))
-    else:
-        points = np.concatenate(pieces)
-    return WindowedSet(points, R, label or f"crystal(p={p}, |F|={len(F)})")
+    for f in F:
+        pts = t + f
+        pieces.append(pts[np.linalg.norm(pts, axis=1) <= R + TOL_EQ])
+    del t, pts  # before WindowedSet copies and sorts the points
+    return WindowedSet(np.concatenate(pieces), R,
+                       label or f"crystal(p={p}, |F|={len(F)})")
 
 
 def gen_perturbed_lattice(basis, amplitude: float, freqs, R: float,
@@ -97,7 +83,9 @@ def gen_perturbed_lattice(basis, amplitude: float, freqs, R: float,
     and the output is not finite type; rational frequencies give an exact
     superlattice period instead.
     """
-    B, inv = _basis_and_inverse(basis)
+    B = np.array(basis, dtype=np.float64)
+    inv = build_lattice(B, det_floor=_DET_FLOOR * float(
+        np.prod(np.linalg.norm(np.atleast_2d(B), axis=1)))).inv
     p = B.shape[0]
     amplitude = float(amplitude)
     if amplitude < 0:
@@ -109,21 +97,20 @@ def gen_perturbed_lattice(basis, amplitude: float, freqs, R: float,
     if R <= 0:
         raise ConfigError("radius must be positive")
     if amplitude > 0:
-        sep = _shortest_lattice_vector(B)
+        # a basis row is a lattice vector, so the shortest nonzero one lies
+        # in the ball of the shortest row's length
+        n, t = _lattice_points(B, inv,
+                               float(np.linalg.norm(B, axis=1).min()))
+        sep = float(np.linalg.norm(t[np.any(n != 0, axis=1)], axis=1).min())
         if amplitude >= sep / 4:
             raise AmplitudeTooLarge(
                 f"amplitude {amplitude:g} >= min_separation/4 = {sep / 4:g}"
             )
     u = B[0] / np.linalg.norm(B[0])
 
-    pieces = []
-    for n, chunk in _lattice_points(B, inv, _ulp_widened(R + amplitude)):
-        shift = amplitude * np.sin(2 * np.pi * (n @ freqs))
-        pts = chunk + shift[:, None] * u
-        keep = np.linalg.norm(pts, axis=1) <= R + TOL_EQ
-        if keep.any():
-            pieces.append(pts[keep])
-    points = np.concatenate(pieces) if pieces else np.zeros((0, p))
+    n, t = _lattice_points(B, inv, _ulp_widened(R + amplitude))
+    pts = t + amplitude * np.sin(2 * np.pi * (n @ freqs))[:, None] * u
+    points = pts[np.linalg.norm(pts, axis=1) <= R + TOL_EQ]
     return WindowedSet(points, R, label or f"perturbed(amp={amplitude:g})")
 
 

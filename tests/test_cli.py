@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from idealcrystal._util import query_workers
+from idealcrystal.cli import _config_from_args, build_parser
+from idealcrystal.config import RunConfig
 from idealcrystal.errors import ConfigError
 from idealcrystal.pointset import load_points
 
@@ -269,3 +271,49 @@ def test_seed_is_a_generator_flag_only(tmp_path):
     r = run("roundtrip", "poisson", "--radius", "60", "--seed", "3")
     assert r.returncode == 3
     assert "no-crystal" in r.stdout
+
+
+def test_config_flags_default_to_run_config():
+    for argv in (["analyze", "in.csv"], ["roundtrip", "crystal"]):
+        args = build_parser().parse_args(argv)
+        assert _config_from_args(args) == RunConfig()
+
+
+def test_analyze_coordinates_past_1e154_are_refused_at_input(tmp_path):
+    # neighbour distances square coordinate differences, so at this scale D
+    # and the minimum separation overflow; the run stops at input and says
+    # why instead of reporting D = inf
+    g = np.arange(-5.0, 6.0)
+    pts = np.stack(np.meshgrid(g, g), -1).reshape(-1, 2)
+    pts = pts[np.linalg.norm(pts, axis=1) <= 5.0] * 1e160
+    assert len(pts) == 81
+    src = tmp_path / "huge.csv"
+    np.savetxt(src, pts, delimiter=",", fmt="%.17g")
+    a = run("analyze", str(src))
+    assert a.returncode == 3, a.stderr
+    rep = json.loads(a.stdout)
+    assert rep["stage"] == "input"
+    assert "overflow" in rep["reason"] and "5e+160" in rep["reason"]
+    assert "inf" not in a.stdout.lower()
+
+
+def test_generate_perturbed_on_a_skewed_basis_stays_small():
+    # a valid basis (|det| / prod |B_j| = 1.8e-4) whose shortest vector,
+    # 2 B_1 - B_3, is 20 times shorter than its rows: the amplitude guard
+    # once scanned a box of 1,899^3 coordinate vectors (51 GiB) for it. The
+    # address-space cap turns such an allocation into a failed run
+    basis = ("2.3645548320042318,0.22669885643799229,1.1624211875584574;"
+             "-1.0882117291190974,0.16647643241807342,-0.8665073572768981;"
+             "4.7352368687852655,0.4135933741212294,2.382762180605139")
+
+    def cap():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    r = subprocess.run(
+        PKG + ["generate", "perturbed", "--basis", basis, "--amplitude",
+               "0.01", "--freqs", "1.4142135623730951,0,0", "--radius", "2"],
+        capture_output=True, text=True, timeout=300, preexec_fn=cap,
+    )
+    assert r.returncode == 0, r.stderr
+    assert len(load_points(r.stdout, "csv")) > 0

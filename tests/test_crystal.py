@@ -17,6 +17,7 @@ from scipy.stats import special_ortho_group
 import idealcrystal.crystal as crystal_mod
 from idealcrystal import (
     AmbiguousSnap,
+    AmplitudeTooLarge,
     ConfigError,
     CrystalDecomposition,
     FailureWitness,
@@ -405,12 +406,9 @@ def _enumeration_cases(draw):
 def test_lattice_points_match_box_scan(case):
     B, radius = case
     inv = np.linalg.inv(B)
-    got = list(_lattice_points(B, inv, radius))
-    assert _enumerated(got) == _enumerated(_box_lattice_points(B, inv, radius))
-    # each block is one 2-D section: its rows share n_1 ... n_{p-2}
-    p = B.shape[0]
-    for n, _ in got:
-        assert np.all(n[:, :p - 2] == n[0, :p - 2])
+    n, t = _lattice_points(B, inv, radius)
+    assert (n.tobytes(), t.tobytes()) == _enumerated(
+        _box_lattice_points(B, inv, radius))
 
 
 @st.composite
@@ -445,9 +443,114 @@ def test_count_targets_matches_enumeration(case):
     B, f, lim = case
     inv = np.linalg.inv(B)
     radius = _ulp_widened(max(lim, 0.0) + float(np.linalg.norm(f)))
-    want = sum(int((np.linalg.norm(t + f, axis=1) <= lim).sum())
-               for _, t in _lattice_points(B, inv, radius))
+    t = _lattice_points(B, inv, radius)[1]
+    want = int((np.linalg.norm(t + f, axis=1) <= lim).sum())
     assert _count_targets(B, inv, radius, f, lim) == want
+
+
+@pytest.mark.parametrize("seed", [9, 14, 33, 41])
+def test_lattice_points_are_one_product_in_four_dimensions(seed):
+    # bases whose rim 2-D sections hold a single lattice point: the
+    # enumerated t are the rows of one n @ B over the whole box, bit for bit
+    # (for p >= 4 numpy sends a one-row product to BLAS gemv, whose bits can
+    # differ from the same row of a larger product)
+    B = np.random.default_rng(seed).normal(size=(4, 4))
+    inv = np.linalg.inv(B)
+    box = np.stack(np.meshgrid(*[np.arange(-b, b + 1)
+                                 for b in _coord_bounds(inv, 4.0)],
+                               indexing="ij"), -1).reshape(-1, 4)
+    T = box @ B
+    keep = np.linalg.norm(T, axis=1) <= 4.0 + TOL_EQ
+    n, t = _lattice_points(B, inv, 4.0)
+    _, per_section = np.unique(n[:, :2], axis=0, return_counts=True)
+    assert (per_section == 1).any()
+    assert n.tobytes() == box[keep].tobytes()
+    assert t.tobytes() == T[keep].tobytes()
+
+
+# references: the generators on the box scan, in their former per-block form
+
+
+def _box_crystal(B, F, R):
+    B, F = np.asarray(B, dtype=np.float64), np.asarray(F, dtype=np.float64)
+    max_f = float(np.linalg.norm(F, axis=1).max())
+    pieces = []
+    for _, chunk in _box_lattice_points(B, np.linalg.inv(B),
+                                        _ulp_widened(R + max_f)):
+        for f in F:
+            pts = chunk + f
+            pieces.append(pts[np.linalg.norm(pts, axis=1) <= R + TOL_EQ])
+    return WindowedSet(np.concatenate(pieces), R)
+
+
+def _box_perturbed(B, amplitude, freqs, R):
+    B = np.asarray(B, dtype=np.float64)
+    u = B[0] / np.linalg.norm(B[0])
+    pieces = []
+    for n, chunk in _box_lattice_points(B, np.linalg.inv(B),
+                                        _ulp_widened(R + amplitude)):
+        shift = amplitude * np.sin(2 * np.pi * (n @ np.asarray(freqs)))
+        pts = chunk + shift[:, None] * u
+        pieces.append(pts[np.linalg.norm(pts, axis=1) <= R + TOL_EQ])
+    return WindowedSet(np.concatenate(pieces), R)
+
+
+def _rotated(p, seed):
+    Q = special_ortho_group.rvs(p, random_state=seed)
+    return Q @ np.diag(np.random.default_rng(seed).uniform(0.9, 1.1, p))
+
+
+@pytest.mark.parametrize("B, F, R", [
+    ([[2.0]], [[0.0], [0.5], [1.3]], 40.0),
+    ([[1.0, 0.0], [0.3, 1.1]], [[0.0, 0.0], [0.5, 0.55]], 30.0),
+    (_rotated(2, 3), [[0.1, 0.2], [0.4, -0.3], [-0.2, 0.45]], 20.0),
+    (_rotated(3, 4), [[0.0, 0.0, 0.0]], 12.0),
+    (_rotated(3, 5), [[0.0, 0.0, 0.0], [0.5, 0.1, 0.2], [0.1, 0.5, -0.3]],
+     8.0),
+], ids=["p1-3res", "plane-2res", "p2-3res", "p3-1res", "p3-3res"])
+def test_gen_ideal_crystal_matches_box_scan(B, F, R):
+    S = gen_ideal_crystal(B, F, R)
+    ref = _box_crystal(B, F, R)
+    assert S.points.tobytes() == ref.points.tobytes()
+
+
+@pytest.mark.parametrize("B, amplitude, freqs, R", [
+    ([[1.0]], 0.1, [np.sqrt(2.0)], 400.0),
+    ([[1.0, 0.0], [0.3, 1.1]], 0.05, [np.sqrt(2.0), 0.0], 20.0),
+    (_rotated(3, 4), 0.05, [np.sqrt(2.0), 0.0, 0.0], 8.0),
+], ids=["p1-sqrt2", "plane", "p3"])
+def test_gen_perturbed_lattice_matches_box_scan(B, amplitude, freqs, R):
+    S = gen_perturbed_lattice(B, amplitude, freqs, R)
+    ref = _box_perturbed(B, amplitude, freqs, R)
+    assert S.points.tobytes() == ref.points.tobytes()
+
+
+def _box_shortest_vector(B, m):
+    # reference: the amplitude guard's former box scan, |n_i| <= m
+    p = B.shape[0]
+    grids = np.meshgrid(*[np.arange(-m, m + 1)] * p, indexing="ij")
+    n = np.stack([g.ravel() for g in grids], axis=1)
+    n = n[np.any(n != 0, axis=1)]
+    return float(np.linalg.norm(n @ B, axis=1).min())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          database=None)
+@given(_enumeration_cases())
+def test_amplitude_guard_matches_box_scan(case):
+    # the guard refuses amplitude >= sep / 4, sep the shortest nonzero
+    # lattice vector, read off the ball of the shortest row's length
+    B, _ = case
+    p = B.shape[0]
+    min_row = float(np.linalg.norm(B, axis=1).min())
+    sigma_min = float(np.linalg.svd(B, compute_uv=False).min())
+    # the box holds every n with |n B| <= min_row
+    m = max(2, int(np.ceil(min_row / sigma_min)) + 1)
+    assume((2 * m + 1) ** p <= 200_000)
+    quarter = _box_shortest_vector(B, m) / 4
+    with pytest.raises(AmplitudeTooLarge):
+        gen_perturbed_lattice(B, quarter, np.zeros(p), min_row)
+    gen_perturbed_lattice(B, np.nextafter(quarter, 0.0), np.zeros(p), min_row)
 
 
 @pytest.mark.parametrize("p", range(1, 11))
@@ -913,7 +1016,21 @@ def test_recover_gate_reasons(S, strategy, stage, reason, n_periods):
     assert out.diagnostics["n_periods"] == n_periods
 
 
-def test_recover_plane_past_int64_cells_is_staged():
+def _spy_balls(monkeypatch) -> list:
+    """The balls recover_crystal cuts with _anchor_ball, in call order: the
+    finite-type gap's first, then one screen per ladder step."""
+    balls = []
+    source = crystal_mod._anchor_ball
+
+    def spy(*args):
+        balls.append(source(*args))
+        return balls[-1]
+
+    monkeypatch.setattr(crystal_mod, "_anchor_ball", spy)
+    return balls
+
+
+def test_recover_plane_past_int64_cells_is_staged(monkeypatch):
     # scaled by 1e12 the gap cutoff D + 1 spans ~1e21 tol_eq cells, past the
     # int64 grid the difference set is grouped on: a staged verdict, not an
     # out-of-range cast
@@ -927,10 +1044,11 @@ def test_recover_plane_past_int64_cells_is_staged():
     # scaled by 1e9 the cutoff still fits the grid and the gap stage passes
     # as before, on the gap's ball about the origin
     S9 = WindowedSet(S.points * 1e9, 30e9)
+    balls = _spy_balls(monkeypatch)
     out = recover_crystal(S9)
     assert out.stage == "period-verification"
     D = out.diagnostics["D"]
-    sub = crystal_mod._gap_source(S9, D)
+    sub = balls[0]
     assert len(sub) < len(S9)
     assert out.diagnostics["pair_count"] == finite_type_gap(sub, D).pair_count
 
@@ -970,7 +1088,7 @@ def test_gap_diagnostics_do_not_depend_on_window_size(window):
         assert big.diagnostics[key] == small.diagnostics[key], key
 
 
-def test_gap_ball_holds_the_anchor_around_an_empty_centre():
+def test_gap_ball_holds_the_anchor_around_an_empty_centre(monkeypatch):
     # the square lattice at R = 20 without the disc |x| <= 8: a ball sized
     # by D alone would be empty, the anchor offset keeps the anchor in it
     S0 = disc_lattice(20.0)
@@ -979,12 +1097,13 @@ def test_gap_ball_holds_the_anchor_around_an_empty_centre():
     a = S.points[np.argmin(S.norms())]
     reach = 0.6 * (D + 1) + max(4 * D, 2.0)
     assert not (S.norms() <= reach).any()
-    sub = crystal_mod._gap_source(S, D)
+    balls = _spy_balls(monkeypatch)
+    out = recover_crystal(S)
+    assert out.diagnostics["D"] == D
+    sub = balls[0]
     assert sub.radius == pytest.approx(S.norms().min() + reach, rel=1e-12)
     assert len(sub) < len(S)
     assert np.all(sub.points == a, axis=1).any()
-    out = recover_crystal(S)
-    assert out.diagnostics["D"] == D
     assert out.diagnostics["pair_count"] == finite_type_gap(sub, D).pair_count
 
 
@@ -996,16 +1115,9 @@ def test_screen_ball_holds_the_anchor_around_an_empty_centre(monkeypatch):
     S = WindowedSet(S0.points[S0.norms() >= 12.0], 40.0)
     assert len(S) == 4588
     a = S.points[np.argmin(S.norms())]
-    screens = []
-    source = crystal_mod._screen_source
-
-    def spy(S, r_cur):
-        screens.append(source(S, r_cur))
-        return screens[-1]
-
-    monkeypatch.setattr(crystal_mod, "_screen_source", spy)
+    balls = _spy_balls(monkeypatch)
     out = recover_crystal(S)
-    first = screens[0]
+    first = balls[1]
     assert np.all(first.points == a, axis=1).any()
     assert len(first) < len(S)
     assert isinstance(out, NoCrystalEvidence)
@@ -1389,20 +1501,23 @@ def test_periods_are_the_snapped_anchor_differences(B, F, R, strategy,
     # it bit for bit, so recovery verifies it directly. Each period is what
     # snap_to_period gives on the screen ball of the step that verified it
     S = gen_ideal_crystal(B, F, R)
-    steps = []
-    source = crystal_mod._screen_source
+    radii = []
+    harvest = crystal_mod._anchor_differences
 
-    def spy(S, r_cur):
-        steps.append((r_cur, source(S, r_cur)))
-        return steps[-1][1]
+    def spy(S, r_min, r_after, r_cur):
+        radii.append(r_cur)
+        return harvest(S, r_min, r_after, r_cur)
 
-    monkeypatch.setattr(crystal_mod, "_screen_source", spy)
+    monkeypatch.setattr(crystal_mod, "_anchor_differences", spy)
+    balls = _spy_balls(monkeypatch)
     monkeypatch.setattr(crystal_mod, "snap_to_period", _no_snap)
     dec = recover_crystal(S, RunConfig(strategy=strategy))
     assert isinstance(dec, CrystalDecomposition) and dec.verified
-    radii = np.array([r for r, _ in steps]) + TOL_EQ
+    screens = balls[1:]
+    assert len(screens) == len(radii)
+    radii = np.array(radii) + TOL_EQ
     for P in dec.periods:
-        scr = steps[int(np.searchsorted(radii, np.linalg.norm(P.T)))][1]
+        scr = screens[int(np.searchsorted(radii, np.linalg.norm(P.T)))]
         want = snap_to_period(scr, P.T, dec.epsilon, TOL_EXACT)
         for name in ("T", "anchor", "source_tau"):
             assert getattr(P, name).tobytes() == getattr(want, name).tobytes()

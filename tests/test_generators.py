@@ -117,6 +117,22 @@ def test_amplitude_guard():
     assert min_separation(S) > 0.5
 
 
+def test_amplitude_guard_on_a_skewed_basis():
+    # B_3 is nearly 2 B_1, so the shortest lattice vector, 2 B_1 - B_3, is 20
+    # times shorter than every row; |det| / prod |B_j| = 1.8e-4
+    B = np.array([
+        [2.3645548320042318, 0.22669885643799229, 1.1624211875584574],
+        [-1.0882117291190974, 0.16647643241807342, -0.8665073572768981],
+        [4.7352368687852655, 0.4135933741212294, 2.382762180605139],
+    ])
+    freqs = [np.sqrt(2.0), 0.0, 0.0]
+    quarter = float(np.linalg.norm(2 * B[0] - B[2])) / 4
+    with pytest.raises(AmplitudeTooLarge):
+        gen_perturbed_lattice(B, quarter * (1 + 1e-12), freqs, 1.0)
+    S = gen_perturbed_lattice(B, quarter * (1 - 1e-12), freqs, 1.0)
+    assert min_separation(S) > 2 * quarter
+
+
 def test_perturbed_argument_validation():
     with pytest.raises(ConfigError):
         gen_perturbed_lattice([[1.0]], -0.1, [0.5], 10.0)
