@@ -227,8 +227,9 @@ def refine_lattice(L: Lattice, periods, max_denominator: int = 64) -> Lattice:
     period moves: against a coarse basis a genuine period can need a
     denominator past the cap, yet fit easily once other periods have
     densified the lattice. Periods with no rational fit at the fixed point
-    are dropped with a warning: at these window scales an incommensurate
-    "period" is noise, not structure.
+    are dropped, with one warning per call that names the first of them,
+    counts the rest and gives the largest residual: at these window scales
+    an incommensurate "period" is noise, not structure.
     """
     if max_denominator < 1:
         raise ConfigError("max_denominator must be at least 1")
@@ -274,11 +275,12 @@ def refine_lattice(L: Lattice, periods, max_denominator: int = 64) -> Lattice:
         L = newL
         pending = [T for T, _ in deferred]
 
-    for T, err in deferred:
+    if deferred:
         log.warning(
-            "dropping period %s: no rational coordinates with "
-            "denominator <= %d (residual %.3e)",
-            T.tolist(), max_denominator, err,
+            "dropping periods with no rational coordinates of denominator "
+            "<= %d: %d refused (first %s, largest residual %.3e)",
+            max_denominator, len(deferred), deferred[0][0].tolist(),
+            max(err for _, err in deferred),
         )
     return L
 

@@ -15,6 +15,16 @@ copied, not re-sorted; a non-finite radius is refused.
 JSON point lists are parsed column-wise: one numpy conversion takes a
 well-formed list, and only a list it cannot take is scanned row by row,
 to name the first bad row.
+
+Parsing (both formats) and JSON rendering run with Python's cyclic
+garbage collector paused (``_util.gc_paused``). The containers they
+build, a list of floats per row and the list and JSON object that hold
+them, cannot form a reference cycle, so each collection their
+allocations would set off scans the whole heap and frees nothing.
+Reference counting still frees the lists, and the collector's previous
+state, enabled or disabled, is restored on return and on every error.
+CSV rendering frees each row's objects before the next row, so it sets
+off no collection and runs unpaused.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from typing import IO, Union
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._util import query_workers
+from ._util import gc_paused, query_workers
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -246,7 +256,8 @@ def load_points(source, format: str = "csv") -> WindowedSet:
         raise ConfigError(f"unknown format {format!r} (expected 'csv' or 'json')")
     text = _as_text(source)
     try:
-        return _load_csv(text) if format == "csv" else _load_json(text)
+        with gc_paused():
+            return _load_csv(text) if format == "csv" else _load_json(text)
     except ConfigError as e:  # the window the text describes is invalid
         raise ParseError(str(e))
 
@@ -358,15 +369,18 @@ def serialize(S: WindowedSet, format: str = "csv", metadata: dict | None = None)
             out.write("\n")
         return out.getvalue()
     if format == "json":
-        obj = {
-            "dim": S.dim,
-            "radius": S.radius,
-            "label": S.label,
-            "points": S.points.tolist(),
-        }
-        if metadata:
-            obj["generator"] = metadata
-        return json.dumps(obj) + "\n"
+        with gc_paused():
+            obj = {
+                "dim": S.dim,
+                "radius": S.radius,
+                "label": S.label,
+                "points": S.points.tolist(),
+            }
+            if metadata:
+                obj["generator"] = metadata
+            text = json.dumps(obj) + "\n"
+            del obj  # the row lists go before the collector resumes
+        return text
     raise ConfigError(f"unknown format {format!r} (expected 'csv' or 'json')")
 
 

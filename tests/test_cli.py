@@ -10,7 +10,8 @@ from idealcrystal._util import query_workers
 from idealcrystal.cli import _config_from_args, build_parser
 from idealcrystal.config import RunConfig
 from idealcrystal.errors import ConfigError
-from idealcrystal.pointset import load_points
+from idealcrystal.generators import gen_ideal_crystal
+from idealcrystal.pointset import load_points, serialize
 
 PKG = [sys.executable, "-m", "idealcrystal"]
 
@@ -317,3 +318,35 @@ def test_generate_perturbed_on_a_skewed_basis_stays_small():
     )
     assert r.returncode == 0, r.stderr
     assert len(load_points(r.stdout, "csv")) > 0
+
+
+def test_analyze_seed_79_under_paper_cone_stays_small(tmp_path):
+    # the criterion-1 seed-79 crystal (p = 3, ~3e5 points) has no candidate
+    # in a paper-cone axis cone, and the run stages at basis-selection. The
+    # 1 GiB address-space cap is at least twice what the run needs (with
+    # CPython 3.11, numpy 2.4 and scipy 1.17 it passes at 448 MiB and runs
+    # out while parsing at 384 MiB), so a run that forms a whole-window
+    # table or scans a coordinate box fails here
+    from scipy.stats import special_ortho_group
+
+    rng = np.random.default_rng(90_000 + 79)
+    Q = special_ortho_group.rvs(3, random_state=79)
+    B = Q @ np.diag(rng.uniform(0.9, 1.1, 3))
+    R = 40.0 * float(np.linalg.norm(B, axis=1).max())
+    S = gen_ideal_crystal(B, np.zeros((1, 3)), R)
+    assert len(S) > 250_000
+    src = tmp_path / "c1-seed79.json"
+    src.write_text(serialize(S, "json"))
+
+    def cap():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    r = subprocess.run(
+        PKG + ["analyze", str(src), "--strategy", "paper-cone"],
+        capture_output=True, text=True, timeout=300, preexec_fn=cap,
+    )
+    assert r.returncode == 3, r.stderr
+    rep = json.loads(r.stdout)
+    assert rep["verdict"] == "no-crystal"
+    assert rep["stage"] == "basis-selection"

@@ -6,6 +6,7 @@ end-to-end cases round-trip through the generators.
 
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -248,6 +249,24 @@ def test_refine_drops_incommensurate(caplog):
         R = refine_lattice(L, [np.array([np.sqrt(2.0)])], max_denominator=16)
     assert R is L
     assert any("dropping period" in m for m in caplog.messages)
+
+
+def test_refine_warns_once_per_call(caplog):
+    L = build_lattice([[1.0]])
+    periods = [np.array([np.sqrt(2.0)]), np.array([np.sqrt(3.0)]),
+               np.array([np.pi])]
+    with caplog.at_level("WARNING", logger="idealcrystal.crystal"):
+        R = refine_lattice(L, periods, max_denominator=16)
+    assert R is L
+    records = [r for r in caplog.records if r.name == "idealcrystal.crystal"]
+    assert len(records) == 1
+    msg = records[0].getMessage()
+    worst = max(abs(float(Fraction(float(x)).limit_denominator(16)) - float(x))
+                for x in (np.sqrt(2.0), np.sqrt(3.0), np.pi))
+    assert msg == (
+        "dropping periods with no rational coordinates of denominator <= 16: "
+        f"3 refused (first [1.4142135623730951], largest residual {worst:.3e})"
+    )
 
 
 def test_refine_validation():

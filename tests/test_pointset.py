@@ -4,6 +4,7 @@ Frozen values are hand-computed or brute-forced in line; random cases run
 the O(n^2) oracle next to the library call.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -499,6 +500,81 @@ def test_unknown_format():
         load_points("1.0\n", "xml")
     with pytest.raises(ConfigError):
         serialize(WindowedSet([[1.0]]), "xml")
+
+
+# -- the cyclic garbage collector during i/o ---------------------------------
+
+
+@pytest.fixture
+def gc_state():
+    """Sets the collector's state for the test; restores it afterwards."""
+    def set_state(enabled):
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    was = gc.isenabled()
+    yield set_state
+    set_state(was)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("fmt,text,error", [
+    ("csv", "1.0,2.0\n3.0,4.0\n", None),
+    ("csv", "1.0,2.0\n3.0,x\n", ParseError),
+    ("csv", "1.0,2.0\n3.0\n", DimensionMismatch),
+    ("json", '{"points": [[1.0, 2.0], [3.0, 4.0]]}', None),
+    ("json", '{"points": [[1.0, 2.0], [3.0, "x"]]}', ParseError),
+    ("json", '{"points": [[1.0, 2.0], [3.0]]}', DimensionMismatch),
+    ("json", '{"points": [[1.0, 2.0], [1.0, 2.0]]}', DuplicatePoint),
+], ids=["csv", "csv-malformed", "csv-ragged", "json", "json-non-number",
+        "json-ragged", "json-duplicate"])
+def test_load_restores_the_collector_state(gc_state, enabled, fmt, text, error):
+    gc_state(enabled)
+    if error is None:
+        assert len(load_points(text, fmt)) == 2
+    else:
+        with pytest.raises(error) as exc:
+            load_points(text, fmt)
+        assert type(exc.value) is error
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_serialize_restores_the_collector_state(gc_state, enabled, fmt):
+    gc_state(enabled)
+    S = WindowedSet([[1.0, 2.0], [3.0, 4.0]], label="x")
+    assert load_points(serialize(S, fmt, {"seed": 1}), fmt).points.tolist() \
+        == S.points.tolist()
+    assert gc.isenabled() is enabled
+
+
+def test_window_io_runs_no_collection(gc_state):
+    # with the collector running, the 22,500 row lists would set off dozens
+    # of collections, some of them full scans of every tracked object
+    g = np.arange(-75.0, 75.0)
+    S = WindowedSet(np.stack(np.meshgrid(g, g), -1).reshape(-1, 2) * 0.5)
+    assert len(S) >= 20_000
+    gc_state(True)
+    gc.collect()
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        text = serialize(S, "json")
+        back = load_points(text, "json")
+        csv_back = load_points(serialize(S, "csv"), "csv")
+    finally:
+        gc.callbacks.remove(count)
+    assert starts == []
+    assert back.equals(S)
+    assert np.array_equal(csv_back.points, S.points)
 
 
 # -- restriction and metrics --------------------------------------------------
