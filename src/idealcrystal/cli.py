@@ -263,6 +263,10 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:
+        print(f"error: out of memory{f' ({e})' if str(e) else ''}",
+              file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

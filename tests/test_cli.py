@@ -179,6 +179,19 @@ def test_analyze_non_utf8_stdin_exit_1():
         assert a.stderr.startswith(b"error:") and b"UTF-8" in a.stderr, a.stderr
 
 
+def test_out_of_memory_exits_1_with_an_error_line(monkeypatch, capsys):
+    from idealcrystal import cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_analyze", exhausted)
+    assert cli.main(["analyze", "-"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory")
+    assert "Traceback" not in err
+
+
 def test_analyze_bad_config_exit_1(tmp_path):
     src = tmp_path / "c.csv"
     run("generate", "crystal", "--basis", "1", "--radius", "30",
@@ -315,6 +328,7 @@ def test_generate_perturbed_on_a_skewed_basis_stays_small():
         PKG + ["generate", "perturbed", "--basis", basis, "--amplitude",
                "0.01", "--freqs", "1.4142135623730951,0,0", "--radius", "2"],
         capture_output=True, text=True, timeout=300, preexec_fn=cap,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
     )
     assert r.returncode == 0, r.stderr
     assert len(load_points(r.stdout, "csv")) > 0
@@ -345,6 +359,7 @@ def test_analyze_seed_79_under_paper_cone_stays_small(tmp_path):
     r = subprocess.run(
         PKG + ["analyze", str(src), "--strategy", "paper-cone"],
         capture_output=True, text=True, timeout=300, preexec_fn=cap,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
     )
     assert r.returncode == 3, r.stderr
     rep = json.loads(r.stdout)

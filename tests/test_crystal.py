@@ -5,6 +5,7 @@ end-to-end cases round-trip through the generators.
 """
 
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -843,6 +844,67 @@ def test_enumeration_keeps_a_point_rounded_onto_the_sphere():
     assert S.points.ravel().tolist() == [-g, R]
     dec = verify_decomposition(S, build_lattice([[s]]), [[-g]])
     assert dec.checked_in == 2 and dec.verified
+
+
+def test_verify_does_not_depend_on_the_row_blocks(monkeypatch):
+    # a two-coset plane cut into five row blocks, with a defect of each kind
+    # placed by row: two points within tol_exact of one target outside the
+    # core on either side of the first block boundary, an off-lattice extra
+    # in a middle block and a vacancy in the last block
+    B, F, R = np.array(PLANE_B), np.array(PLANE_F), 30.0
+    plane = gen_ideal_crystal(B, F, R)
+    pts, norms = plane.points, plane.norms()
+    n = len(pts)
+    rim = R - np.linalg.norm(B, axis=1).sum() < norms[1150:1250]
+    base = 1150 + int(np.flatnonzero(rim & (norms[1150:1250] < R - 0.5))[0])
+    gone = n - 200 + int(np.argmin(norms[-200:]))
+    a = pts[base]
+    extra = pts[2900 + int(np.argmin(norms[2900:3000]))] + [0.31, 0.17]
+    # rows before base stay put, so the twins are rows base and base + 1
+    twins = [a - [0.0, 4e-9], a + [0.0, 2e-9]]
+    S = WindowedSet(np.concatenate([np.delete(pts, [base, gone], axis=0),
+                                    twins, [extra]]), R)
+    blk = base + 1
+    assert S.points[base:base + 2].tolist() == np.array(twins).tolist()
+    row = int(np.flatnonzero(np.all(S.points == extra, axis=1))[0])
+    assert blk < row < 3 * blk
+    last = (len(S) - 1) // blk * blk
+    assert last >= 4 * blk and S.points[last, 0] < pts[gone, 0]
+
+    L = build_lattice(B)
+    monkeypatch.setattr(crystal_mod, "_ROW_BLOCK", len(S))
+    whole = verify_decomposition(S, L, F)
+    monkeypatch.setattr(crystal_mod, "_ROW_BLOCK", blk)
+    blocked = verify_decomposition(S, L, F)
+    assert _verify_fields(blocked) == _verify_fields(whole)
+    assert blocked.max_residual.hex() == whole.max_residual.hex()
+    assert _verify_fields(whole) == _reference_verify_decomposition(S, L, F)
+    # each defect is seen: the vacancy is the one missed target, the extra
+    # the one point off L + F, and the twins hit their target once, with
+    # the nearer one's residual
+    assert whole.witnesses_in.tolist() == [pts[gone].tolist()]
+    assert whole.witnesses_out.tolist() == [extra.tolist()]
+    assert whole.checked_in * (1 - whole.coverage_in) == pytest.approx(1)
+    assert whole.max_residual == pytest.approx(2e-9, rel=0.01)
+
+
+def test_verify_peak_memory_per_point():
+    # the mapping's temporaries cover one row block, not the window, so a
+    # check holds little past its per-point residual and hit-key arrays
+    rng = np.random.default_rng(90_079)
+    B = special_ortho_group.rvs(3, random_state=79) @ np.diag(
+        rng.uniform(0.9, 1.1, 3))
+    F = np.zeros((1, 3))
+    S = gen_ideal_crystal(B, F, 32.0)
+    assert len(S) >= 100_000
+    L = build_lattice(B)
+    tracemalloc.start()
+    try:
+        assert verify_decomposition(S, L, F).verified
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(S) < 100, f"{peak / len(S):.0f} bytes per point"
 
 
 # -- recover_crystal ---------------------------------------------------------------
