@@ -18,7 +18,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from ._util import query_workers
 from .errors import (
     AmbiguousSnap,
     ConfigError,
@@ -120,8 +119,7 @@ def is_almost_period(S: WindowedSet, tau, epsilon: float):
         # at most one target per core point and targets cannot collide, so
         # nearest-neighbour lookup decides the matching outright
         d, j = S.tree().query(
-            shifted, k=1, distance_upper_bound=epsilon * (1 + 1e-12),
-            workers=query_workers(),
+            shifted, k=1, distance_upper_bound=epsilon * (1 + 1e-12)
         )
         ok = d < epsilon
         if not ok.all():
@@ -134,9 +132,7 @@ def is_almost_period(S: WindowedSet, tau, epsilon: float):
         )
 
     rows, cols, dists = [], [], []
-    neighborhoods = S.tree().query_ball_point(
-        shifted, epsilon * (1 + 1e-12), workers=query_workers()
-    )
+    neighborhoods = S.tree().query_ball_point(shifted, epsilon * (1 + 1e-12))
     for i, cand in enumerate(neighborhoods):
         for j in sorted(cand):
             dd = float(np.linalg.norm(shifted[i] - S.points[j]))
@@ -364,8 +360,7 @@ def verify_exact_period(S: WindowedSet, T, tol_exact: float = TOL_EXACT):
     if len(core) == 0:
         raise WindowTooSmall("no core points survive the |T| margin")
     d, _ = S.tree().query(
-        S.points[core] + T, k=1, distance_upper_bound=tol_exact * (1 + 1e-9),
-        workers=query_workers(),
+        S.points[core] + T, k=1, distance_upper_bound=tol_exact * (1 + 1e-9)
     )
     bad = d > tol_exact
     if not bad.any():

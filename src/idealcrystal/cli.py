@@ -13,10 +13,11 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import fields
 
 import numpy as np
 
-from .config import OUTPUT_MODES, STRATEGIES, RunConfig
+from .config import STRATEGIES, RunConfig
 from .crystal import CrystalDecomposition, recover_crystal
 from .errors import IdealCrystalError
 from .generators import (
@@ -67,15 +68,7 @@ def _emit(data: str, out: str | None) -> None:
 
 def _config_from_args(args) -> RunConfig:
     return RunConfig(
-        strategy=args.strategy,
-        cone_scale=args.cone_scale,
-        r_min=args.r_min,
-        r_max=args.r_max,
-        core_margin=args.core_margin,
-        tol_exact=args.tol_exact,
-        max_denominator=args.max_denominator,
-        min_points=args.min_points,
-        output=args.output,
+        **{f.name: getattr(args, f.name) for f in fields(RunConfig)}
     ).validate()
 
 
@@ -85,12 +78,8 @@ def _add_config_flags(sub) -> None:
     sub.add_argument("--cone-scale", type=float, default=d.cone_scale)
     sub.add_argument("--r-min", type=float, default=d.r_min)
     sub.add_argument("--r-max", type=float, default=d.r_max)
-    sub.add_argument("--core-margin", type=float, default=d.core_margin)
     sub.add_argument("--tol-exact", type=float, default=d.tol_exact)
-    sub.add_argument("--max-denominator", type=int, default=d.max_denominator)
     sub.add_argument("--min-points", type=int, default=d.min_points)
-    sub.add_argument("--output", choices=OUTPUT_MODES, default=d.output)
-    sub.add_argument("--out", default=None, help="write report to this path")
 
 
 def _add_generator_flags(sub) -> None:
@@ -163,7 +152,7 @@ def cmd_analyze(args) -> int:
     timings["analyze"] = (time.perf_counter() - t1) * 1000
     timings["total"] = (time.perf_counter() - t0) * 1000
     report = build_report(result, config, timings)
-    text = render_json(report) if config.output == "json" else render_text(report)
+    text = render_json(report) if args.output == "json" else render_text(report)
     _emit(text, args.out)
     return 0 if isinstance(result, CrystalDecomposition) else 3
 
@@ -228,6 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("input", help="point-set file (csv or json), '-' for stdin")
     pa.add_argument("--format", choices=("csv", "json"), default=None)
     _add_config_flags(pa)
+    pa.add_argument("--output", choices=("json", "text"), default="json")
+    pa.add_argument("--out", default=None, help="write report to this path")
     pa.set_defaults(func=cmd_analyze)
 
     pg = sub.add_parser("generate", help="emit a control point set")

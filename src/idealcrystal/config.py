@@ -1,10 +1,9 @@
 """Run configuration for the recovery pipeline and the CLI.
 
 Fields left as None are resolved against the input window at run time:
-core_margin defaults to R/10, r_min to max(min_sep/2, 4 tol_exact), and
-r_max (when unset) enables the escalation ladder that widens the candidate
-annulus until it covers the covering radius of the recovered lattice, or
-R/2.
+r_min defaults to max(min_sep/2, 4 tol_exact), and r_max (when unset)
+enables the escalation ladder that widens the candidate annulus until it
+covers the covering radius of the recovered lattice, or R/2.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError
 
 STRATEGIES = ("greedy-det", "paper-cone")
-OUTPUT_MODES = ("json", "text")
 
 
 @dataclass
@@ -23,20 +21,13 @@ class RunConfig:
     cone_scale: float = 1.0
     r_min: float | None = None
     r_max: float | None = None
-    core_margin: float | None = None
     tol_exact: float = 1e-8
-    max_denominator: int = 64
     min_points: int = 50
-    output: str = "json"
 
     def validate(self) -> "RunConfig":
         if self.strategy not in STRATEGIES:
             raise ConfigError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
-            )
-        if self.output not in OUTPUT_MODES:
-            raise ConfigError(
-                f"output must be one of {OUTPUT_MODES}, got {self.output!r}"
             )
         if not self.cone_scale > 0:
             raise ConfigError("cone_scale must be positive")
@@ -49,10 +40,6 @@ class RunConfig:
         if self.r_min is not None and self.r_max is not None:
             if not self.r_min < self.r_max:
                 raise ConfigError("need r_min < r_max")
-        if self.core_margin is not None and self.core_margin < 0:
-            raise ConfigError("core_margin must be non-negative")
-        if self.max_denominator < 1:
-            raise ConfigError("max_denominator must be at least 1")
         if self.min_points < 2:
             raise ConfigError("min_points must be at least 2")
         return self

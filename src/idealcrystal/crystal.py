@@ -25,7 +25,6 @@ from fractions import Fraction
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._util import query_workers
 from .almost_period import (
     TOL_EXACT,
     FailureWitness,
@@ -728,7 +727,6 @@ def _probe_rejections(S: WindowedSet, cands: np.ndarray,
         d, _ = S.tree().query(
             S.points[probes[cols]] + cands[rows], k=1,
             distance_upper_bound=tol_exact * (1 + 1e-9),
-            workers=query_workers(),
         )
         out[rows[d > tol_exact]] = True
     return out
@@ -747,10 +745,10 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
 
     D and the minimum separation, which caps epsilon and sets the default
     r_min, are measured on the window points nearest the origin
-    (_local_scales), the finite-type gap on a ball about it (_anchor_ball).
-    The hypotheses they test hold uniformly in a crystal; a window broken
-    away from the origin is refused by the decomposition check, which
-    reads the whole window.
+    (_local_scales, core margin R/10), the finite-type gap on a ball about
+    it (_anchor_ball). The hypotheses they test hold uniformly in a
+    crystal; a window broken away from the origin is refused by the
+    decomposition check, which reads the whole window.
 
     Candidates are the anchor differences c - a, a the window point nearest
     the origin: a period T with |T| <= r maps a onto a window point. Each
@@ -785,7 +783,7 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
         )
     p = S.dim
     R = S.radius
-    margin = cfg.core_margin if cfg.core_margin is not None else R / 10
+    margin = R / 10
     D, min_sep = _local_scales(S, margin)
     if not (math.isfinite(D) and math.isfinite(min_sep)):
         # the neighbour distances square coordinate differences
@@ -915,16 +913,13 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
                                   anchor=anchor, source_tau=T))
             missing &= ~cone[:, i]
             if lattice is not None:
-                lattice = refine_lattice(lattice, periods[-1:],
-                                         cfg.max_denominator)
+                lattice = refine_lattice(lattice, periods[-1:])
             else:
                 singular = None
                 basis = _greedy_basis(_sorted_period_vectors(periods), p)
                 if basis is not None:
                     try:
-                        lattice = refine_lattice(
-                            build_lattice(basis), periods, cfg.max_denominator
-                        )
+                        lattice = refine_lattice(build_lattice(basis), periods)
                     except SingularBasis as e:
                         singular = str(e)
             skip = (_near_lattice(lattice, cands, eps)

@@ -21,7 +21,6 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from ._util import query_workers
 from .errors import ConfigError, DegenerateGap, MarginTooLarge, TooFewPoints
 from .pointset import TOL_EQ, WindowedSet, _canonical_order
 
@@ -254,7 +253,7 @@ def finite_type_gap(S: WindowedSet, D: float) -> TypeGapReport:
         # cutoff itself as the gap floor (no pair closer than the cutoff)
         gap = V.cutoff
     else:
-        d, _ = cKDTree(V.vectors).query(V.vectors, k=2, workers=query_workers())
+        d, _ = cKDTree(V.vectors).query(V.vectors, k=2)
         gap = float(d[:, 1].min())
     if gap <= 2 * TOL_EQ:
         raise DegenerateGap(

@@ -36,7 +36,7 @@ from typing import IO, Union
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._util import gc_paused, query_workers
+from ._util import gc_paused
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -178,8 +178,7 @@ class WindowedSet:
         member[order[1:][close]] = True
         chain = pts[member]
         d, _ = cKDTree(chain).query(
-            chain, k=2, distance_upper_bound=TOL_EQ * (1 + 1e-9),
-            workers=query_workers(),
+            chain, k=2, distance_upper_bound=TOL_EQ * (1 + 1e-9)
         )
         return bool(d[:, 1].min() < TOL_EQ)
 
@@ -197,7 +196,7 @@ class WindowedSet:
         if self._nn is None:
             if len(self.points) < 2:
                 raise TooFewPoints("nearest-neighbour distances need >= 2 points")
-            d, _ = self.tree().query(self.points, k=2, workers=query_workers())
+            d, _ = self.tree().query(self.points, k=2)
             nn = d[:, 1].copy()
             nn.flags.writeable = False
             self._nn = nn

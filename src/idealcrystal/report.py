@@ -15,7 +15,7 @@ import numpy as np
 
 from .crystal import CrystalDecomposition, NoCrystalEvidence
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _py(value):

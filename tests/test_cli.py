@@ -6,23 +6,18 @@ import sys
 import numpy as np
 import pytest
 
-from idealcrystal._util import query_workers
 from idealcrystal.cli import _config_from_args, build_parser
 from idealcrystal.config import RunConfig
-from idealcrystal.errors import ConfigError
 from idealcrystal.generators import gen_ideal_crystal
 from idealcrystal.pointset import load_points, serialize
 
 PKG = [sys.executable, "-m", "idealcrystal"]
 
 
-def run(*args, stdin=None, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run(*args, stdin=None):
     return subprocess.run(
         PKG + list(args), input=stdin, capture_output=True, text=True,
-        env=env, timeout=300,
+        timeout=300,
     )
 
 
@@ -237,13 +232,13 @@ def test_roundtrip_mismatch_exit_2():
     assert "ratio_integer" in r.stdout
 
 
-def test_reports_deterministic_across_threads(tmp_path):
+def test_reports_deterministic_across_runs(tmp_path):
     src = tmp_path / "c.csv"
     run("generate", "crystal", "--basis", "1,0;0,1", "--residues",
         "0,0;0.5,0.5", "--radius", "25", "--out", str(src))
     outs = []
-    for threads in ("1", "4", "2"):
-        a = run("analyze", str(src), env_extra={"CRYSTAL_THREADS": threads})
+    for _ in range(3):
+        a = run("analyze", str(src))
         assert a.returncode == 0
         rep = json.loads(a.stdout)
         rep.pop("timings_ms")
@@ -251,16 +246,16 @@ def test_reports_deterministic_across_threads(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_query_workers_default_is_one_thread(monkeypatch):
-    monkeypatch.delenv("CRYSTAL_THREADS", raising=False)
-    assert query_workers() == 1
-    monkeypatch.setenv("CRYSTAL_THREADS", "4")
-    assert query_workers() == 4
-    monkeypatch.setenv("CRYSTAL_THREADS", "0")
-    assert query_workers() == 1
-    monkeypatch.setenv("CRYSTAL_THREADS", "all")
-    with pytest.raises(ConfigError):
-        query_workers()
+def test_report_flags_are_analyze_flags_only(tmp_path):
+    # roundtrip prints a table and writes no report, so it refuses the
+    # report's destination and format instead of ignoring them
+    out = tmp_path / "F"
+    r = run("roundtrip", "crystal", "--basis", "1,0;0,1", "--residues", "0,0",
+            "--radius", "12", "--out", str(out), "--output", "text")
+    assert r.returncode == 1
+    assert "unrecognized arguments" in r.stderr
+    assert r.stdout == ""
+    assert not out.exists()
 
 
 def test_generate_seeded_determinism():

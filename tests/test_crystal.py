@@ -1652,14 +1652,10 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(strategy="magic").validate()
     with pytest.raises(ConfigError):
-        RunConfig(output="yaml").validate()
-    with pytest.raises(ConfigError):
         RunConfig(cone_scale=0.0).validate()
     with pytest.raises(ConfigError):
         RunConfig(tol_exact=-1.0).validate()
     with pytest.raises(ConfigError):
         RunConfig(r_min=2.0, r_max=1.0).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(max_denominator=0).validate()
     with pytest.raises(ConfigError):
         RunConfig(min_points=1).validate()
