@@ -35,7 +35,8 @@ from .almost_period import (
     verify_exact_period,
 )
 from .config import RunConfig
-from .errors import ConfigError, DegenerateGap, SingularBasis, WindowTooSmall
+from .errors import (ConfigError, DegenerateGap, MarginTooLarge,
+                     SingularBasis, TooFewPoints, WindowTooSmall)
 from .geometry import _core_max, finite_type_gap
 # candidate_almost_periods, is_almost_period, snap_to_period,
 # denseness_radius and difference_vectors are not called here (each ladder
@@ -168,22 +169,19 @@ class Lattice:
 
 
 def build_lattice(vectors, coord_tol: float = COORD_TOL,
-                  det_floor: float | None = None) -> Lattice:
-    """Lattice from p basis rows; SingularBasis below the det floor.
-
-    det_floor defaults to 1e-6 * prod |T_j|, a scale-free threshold.
-    """
+                  det_floor: float = 1e-6) -> Lattice:
+    """Lattice from p basis rows; SingularBasis unless |det| exceeds
+    det_floor * prod |T_j|, a floor relative to the row lengths."""
     B = np.array(vectors, dtype=np.float64)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ConfigError(f"basis must be square, got shape {B.shape}")
     if not coord_tol > 0:
         raise ConfigError("coord_tol must be positive")
     det = float(np.linalg.det(B))
-    if det_floor is None:
-        det_floor = 1e-6 * float(np.prod(np.linalg.norm(B, axis=1)))
-    if not abs(det) > det_floor:
+    floor = det_floor * float(np.prod(np.linalg.norm(B, axis=1)))
+    if not abs(det) > floor:
         raise SingularBasis(
-            f"|det| = {abs(det):.3e} at or below floor {det_floor:.3e}"
+            f"|det| = {abs(det):.3e} at or below floor {floor:.3e}"
         )
     inv = np.linalg.inv(B)
     B.flags.writeable = False
@@ -231,13 +229,13 @@ def refine_lattice(L: Lattice, periods, max_denominator: int = 64) -> Lattice:
 
     Periods outside the current lattice get rational lattice coordinates
     via continued fractions; the integer row span of everything (over the
-    common denominator) is re-reduced to a basis. Merging repeats until no
-    period moves: against a coarse basis a genuine period can need a
-    denominator past the cap, yet fit easily once other periods have
-    densified the lattice. Periods with no rational fit at the fixed point
-    are dropped, with one warning per call that names the first of them,
-    counts the rest and gives the largest residual: at these window scales
-    an incommensurate "period" is noise, not structure.
+    common denominator) is re-reduced to a basis. Against a coarse basis a
+    genuine period can need a denominator past the cap, yet fit once other
+    periods have densified the lattice: such periods are retried against
+    each merged lattice until a round merges none. Those left are dropped,
+    with one warning per call that names the first of them, counts the
+    rest and gives the largest residual: at these window scales an
+    incommensurate "period" is noise, not structure.
     """
     if max_denominator < 1:
         raise ConfigError("max_denominator must be at least 1")
@@ -273,14 +271,9 @@ def refine_lattice(L: Lattice, periods, max_denominator: int = 64) -> Lattice:
             rows.append([int(f * denom) for f in fr])
         H = _hnf_rows(rows, p)
         new_basis = (np.array(H, dtype=np.float64) / denom) @ L.basis
-        newL = build_lattice(new_basis, L.coord_tol)
+        L = build_lattice(new_basis, L.coord_tol)
         if not deferred:
-            return newL
-        if abs(newL.det) > abs(L.det) / 1.5:
-            # merges changed nothing the deferred periods could use
-            L = newL
             break
-        L = newL
         pending = [T for T, _ in deferred]
 
     if deferred:
@@ -357,6 +350,13 @@ def _lattice_points(basis: np.ndarray, inv: np.ndarray, radius: float):
     return n[keep], t[keep]
 
 
+def _same_coset(f: np.ndarray, g: np.ndarray, tol: float) -> bool:
+    """Whether the cell coordinates f and g, each in [0, 1), are equal
+    modulo 1 within tol on every axis."""
+    d = np.abs(f - g)
+    return bool(np.all(np.minimum(d, 1.0 - d) <= tol))
+
+
 def residues(S: WindowedSet, L: Lattice) -> np.ndarray:
     """One representative per lattice coset among points with |a| < sum |T_j|.
 
@@ -378,15 +378,8 @@ def residues(S: WindowedSet, L: Lattice) -> np.ndarray:
 
     kept: list[np.ndarray] = []
     for i in order:
-        f = fracs[i]
-        dup = False
-        for g in kept:
-            d = np.abs(f - g)
-            if np.all(np.minimum(d, 1.0 - d) <= L.coord_tol):
-                dup = True
-                break
-        if not dup:
-            kept.append(f)
+        if not any(_same_coset(fracs[i], g, L.coord_tol) for g in kept):
+            kept.append(fracs[i])
     out = np.array(kept) @ L.basis
     keys = tuple(out[:, k] for k in range(out.shape[1] - 1, -1, -1))
     out = np.ascontiguousarray(out[np.lexsort(keys)])
@@ -614,39 +607,26 @@ def verify_decomposition(S: WindowedSet, L: Lattice, F,
     )
 
 
-def _greedy_basis(vectors: list[np.ndarray], p: int) -> np.ndarray | None:
-    """Shortest-first independent selection of p rows.
+def _greedy_basis(periods: list[Period], p: int) -> np.ndarray | None:
+    """The first p independent periods in the caller's order, which
+    recover_crystal keeps shortest first; in one dimension made positive.
 
-    A vector joins the basis only if its direction keeps a sine of at
-    least _ANGLE_FLOOR against the span chosen so far, which maximizes the
-    normalized determinant among shortest choices.
+    A period joins the basis only if its direction keeps a sine of at
+    least _ANGLE_FLOOR against the span chosen so far.
     """
     chosen: list[np.ndarray] = []
-    for v in vectors:
-        nv = float(np.linalg.norm(v))
+    for P in periods:
+        v = np.abs(P.T) if p == 1 else P.T
         if not chosen:
             chosen.append(v)
         else:
             A = np.array(chosen).T
             resid = v - A @ np.linalg.lstsq(A, v, rcond=None)[0]
-            if np.linalg.norm(resid) >= _ANGLE_FLOOR * nv:
+            if np.linalg.norm(resid) >= _ANGLE_FLOOR * np.linalg.norm(v):
                 chosen.append(v)
         if len(chosen) == p:
             return np.array(chosen)
     return None
-
-
-def _sorted_period_vectors(periods: list[Period]) -> list[np.ndarray]:
-    """Period vectors ordered by (|T|, lexicographic), sign-normalized in
-    one dimension so "shortest positive" is well defined."""
-    vecs = []
-    for P in periods:
-        T = np.array(P.T, dtype=np.float64)
-        if len(T) == 1 and T[0] < 0:
-            T = -T
-        vecs.append(T)
-    vecs.sort(key=lambda v: (float(np.linalg.norm(v)), tuple(v)))
-    return vecs
 
 
 def _local_scales(S: WindowedSet, core_margin: float) -> tuple[float, float]:
@@ -784,7 +764,17 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
     p = S.dim
     R = S.radius
     margin = R / 10
-    D, min_sep = _local_scales(S, margin)
+    try:
+        D, min_sep = _local_scales(S, margin)
+    except (MarginTooLarge, TooFewPoints):
+        return NoCrystalEvidence(
+            stage="input",
+            reason=(
+                f"fewer than 2 of the window points nearest the origin lie "
+                f"within 0.9 R = {R - margin:g} of it: D cannot be measured"
+            ),
+            diagnostics=diag,
+        )
     if not (math.isfinite(D) and math.isfinite(min_sep)):
         # the neighbour distances square coordinate differences
         return NoCrystalEvidence(
@@ -916,7 +906,7 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
                 lattice = refine_lattice(lattice, periods[-1:])
             else:
                 singular = None
-                basis = _greedy_basis(_sorted_period_vectors(periods), p)
+                basis = _greedy_basis(periods, p)
                 if basis is not None:
                     try:
                         lattice = refine_lattice(build_lattice(basis), periods)

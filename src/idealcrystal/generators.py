@@ -10,6 +10,10 @@ null model.
 The lattice generators take their lattice points from the decomposition
 check's ball enumeration (crystal._lattice_points), in one array, and check
 their basis with crystal.build_lattice under their own determinant floor.
+Every generator refuses with ConfigError what it cannot build from: a
+radius or intensity that is not finite and positive, a non-finite slope,
+interval, frequency or residue, lattice coordinates past int64 and a
+Poisson mean numpy cannot draw.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .crystal import COORD_TOL, _lattice_points, _ulp_widened, build_lattice
+from .crystal import (COORD_TOL, _lattice_points, _same_coset, _ulp_widened,
+                      build_lattice)
 from .errors import (
     AmplitudeTooLarge,
     ConfigError,
@@ -33,6 +38,25 @@ from .pointset import TOL_EQ, WindowedSet
 _DET_FLOOR = 1e-9
 
 
+def _positive(name: str, value) -> float:
+    """value as a float; ConfigError unless it is finite and positive."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be finite and positive, got {value:g}")
+    return value
+
+
+def _ball_points(B: np.ndarray, inv: np.ndarray, radius: float):
+    """_lattice_points of the ball |t| <= radius; ConfigError when one of
+    its coordinate bounds (crystal._coord_bounds) passes 2^62, short of the
+    int64 range that the enumeration casts its rows to."""
+    if not radius * float(np.linalg.norm(inv, axis=0).max()) < 2.0**62:
+        raise ConfigError(
+            f"radius {radius:g} needs lattice coordinates past int64"
+        )
+    return _lattice_points(B, inv, radius)
+
+
 def gen_ideal_crystal(basis, F, R: float, label: str = "") -> WindowedSet:
     """All points t + f with t in the lattice of basis, f in F, |t+f| <= R.
 
@@ -40,30 +64,28 @@ def gen_ideal_crystal(basis, F, R: float, label: str = "") -> WindowedSet:
     so t + f is formed from the same t = n B for every residue.
     """
     B = np.array(basis, dtype=np.float64)
-    inv = build_lattice(B, det_floor=_DET_FLOOR * float(
-        np.prod(np.linalg.norm(np.atleast_2d(B), axis=1)))).inv
+    inv = build_lattice(B, det_floor=_DET_FLOOR).inv
     p = B.shape[0]
     F = np.asarray(F, dtype=np.float64)
     if F.ndim != 2 or F.shape[1] != p:
         raise ConfigError(f"residues need shape (k, {p}), got {F.shape}")
     if len(F) == 0:
         raise ConfigError("residue set F must not be empty")
-    R = float(R)
-    if R <= 0:
-        raise ConfigError("radius must be positive")
+    if not np.isfinite(F).all():
+        raise ConfigError("residues must be finite")
+    R = _positive("radius", R)
 
     fracs = np.mod(F @ inv, 1.0)
     for i in range(len(F)):
         for k in range(i + 1, len(F)):
-            d = np.abs(fracs[i] - fracs[k])
-            if np.all(np.minimum(d, 1.0 - d) <= COORD_TOL):
+            if _same_coset(fracs[i], fracs[k], COORD_TOL):
                 raise CosetCollision(
                     f"residues {F[i].tolist()} and {F[k].tolist()} "
                     "coincide modulo the lattice"
                 )
 
     max_f = float(np.linalg.norm(F, axis=1).max())
-    t = _lattice_points(B, inv, _ulp_widened(R + max_f))[1]
+    t = _ball_points(B, inv, _ulp_widened(R + max_f))[1]
     pieces = []
     for f in F:
         pts = t + f
@@ -84,18 +106,17 @@ def gen_perturbed_lattice(basis, amplitude: float, freqs, R: float,
     superlattice period instead.
     """
     B = np.array(basis, dtype=np.float64)
-    inv = build_lattice(B, det_floor=_DET_FLOOR * float(
-        np.prod(np.linalg.norm(np.atleast_2d(B), axis=1)))).inv
+    inv = build_lattice(B, det_floor=_DET_FLOOR).inv
     p = B.shape[0]
     amplitude = float(amplitude)
-    if amplitude < 0:
+    if not amplitude >= 0:
         raise ConfigError("amplitude must be non-negative")
     freqs = np.asarray(freqs, dtype=np.float64).reshape(-1)
     if len(freqs) != p:
         raise ConfigError(f"freqs has dim {len(freqs)}, expected {p}")
-    R = float(R)
-    if R <= 0:
-        raise ConfigError("radius must be positive")
+    if not np.isfinite(freqs).all():
+        raise ConfigError("freqs must be finite")
+    R = _positive("radius", R)
     if amplitude > 0:
         # a basis row is a lattice vector, so the shortest nonzero one lies
         # in the ball of the shortest row's length
@@ -108,7 +129,7 @@ def gen_perturbed_lattice(basis, amplitude: float, freqs, R: float,
             )
     u = B[0] / np.linalg.norm(B[0])
 
-    n, t = _lattice_points(B, inv, _ulp_widened(R + amplitude))
+    n, t = _ball_points(B, inv, _ulp_widened(R + amplitude))
     pts = t + amplitude * np.sin(2 * np.pi * (n @ freqs))[:, None] * u
     points = pts[np.linalg.norm(pts, axis=1) <= R + TOL_EQ]
     return WindowedSet(points, R, label or f"perturbed(amp={amplitude:g})")
@@ -124,11 +145,11 @@ def gen_cut_and_project(slope: float, window, R: float,
     """
     slope = float(slope)
     lo, hi = (float(window[0]), float(window[1]))
+    if not all(map(math.isfinite, (slope, lo, hi))):
+        raise ConfigError("slope and acceptance interval must be finite")
     if not hi > lo:
         raise EmptyAcceptanceWindow(f"acceptance interval [{lo:g}, {hi:g}) is empty")
-    R = float(R)
-    if R <= 0:
-        raise ConfigError("radius must be positive")
+    R = _positive("radius", R)
 
     span = max(abs(lo), abs(hi))
     M = int(np.ceil((R + abs(slope) * span) / (1 + slope * slope))) + 3
@@ -162,17 +183,19 @@ def gen_poisson(intensity: float, R: float, seed: int, dim: int = 1,
     Seeded and bit-stable: the count is Poisson(intensity * volume) and
     points are uniform in the ball by rejection from the cube.
     """
-    intensity = float(intensity)
-    if intensity <= 0:
-        raise ConfigError("intensity must be positive")
-    R = float(R)
-    if R <= 0:
-        raise ConfigError("radius must be positive")
+    intensity = _positive("intensity", intensity)
+    R = _positive("radius", R)
     if dim < 1:
         raise ConfigError("dim must be at least 1")
     rng = np.random.default_rng(seed)
-    volume = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * R**dim
-    count = int(rng.poisson(intensity * volume))
+    try:
+        volume = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * R**dim
+        count = int(rng.poisson(intensity * volume))
+    except (OverflowError, ValueError) as e:
+        raise ConfigError(
+            f"cannot draw a Poisson count for intensity {intensity:g} in the "
+            f"ball of radius {R:g} in dimension {dim}: {e}"
+        ) from None
     pts = np.zeros((0, dim))
     while len(pts) < count:
         need = count - len(pts)

@@ -9,7 +9,7 @@ import pytest
 from idealcrystal.cli import _config_from_args, build_parser
 from idealcrystal.config import RunConfig
 from idealcrystal.generators import gen_ideal_crystal
-from idealcrystal.pointset import load_points, serialize
+from idealcrystal.pointset import WindowedSet, load_points, serialize
 
 PKG = [sys.executable, "-m", "idealcrystal"]
 
@@ -57,6 +57,22 @@ def test_generate_crystal_residue_width_mismatch_exits_1(residues):
     assert r.returncode == 1
     assert r.stderr.startswith("error: ")
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["crystal", "--radius", "inf"],
+    ["crystal", "--radius", "nan"],
+    ["crystal", "--radius", "1e19"],
+    ["poisson", "--intensity", "nan", "--radius", "5"],
+    ["poisson", "--radius", "1e300"],
+])
+def test_generate_unbuildable_window_exits_1(args):
+    # each used to end in a traceback, or for 1e19 to print one wrapped point
+    r = run("generate", *args)
+    assert r.returncode == 1, r.stderr[-200:]
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, \
+        r.stderr[-200:]
+    assert r.stdout == ""
 
 
 def test_generate_json_with_metadata(tmp_path):
@@ -143,6 +159,19 @@ def test_analyze_window_with_overflowing_squares(tmp_path, text):
     assert a.stderr == ""
     rep = json.loads(a.stdout)
     assert rep["verdict"] == "no-crystal" and rep["stage"]
+
+
+def test_analyze_window_without_measurable_scales_exits_3(tmp_path):
+    # only the rim 27.5 <= |x| <= 30 of the unit square lattice: D cannot be
+    # measured near the origin, which is a staged verdict, not an error
+    S = gen_ideal_crystal(np.eye(2), [[0.0, 0.0]], 30.0)
+    rim = S.points[np.linalg.norm(S.points, axis=1) >= 27.5]
+    src = tmp_path / "rim.csv"
+    src.write_text(serialize(WindowedSet(rim, 30.0), "csv"))
+    a = run("analyze", str(src))
+    assert a.returncode == 3, a.stderr
+    rep = json.loads(a.stdout)
+    assert rep["stage"] == "input" and "core_margin" not in rep["reason"]
 
 
 def test_analyze_bad_json_exit_1():

@@ -195,6 +195,15 @@ def test_build_lattice_singular():
         build_lattice([[1.0, 0.0], [1.0, 1e-9]])
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_build_lattice_det_floor_is_relative_to_the_row_lengths(scale):
+    # |det| / (|B_1| |B_2|) = 1 / sqrt(2), whatever the unit of length
+    B = scale * np.array([[1.0, 0.0], [1.0, 1.0]])
+    assert abs(build_lattice(B, det_floor=0.7).det) == pytest.approx(scale**2)
+    with pytest.raises(SingularBasis):
+        build_lattice(B, det_floor=0.71)
+
+
 def test_lattice_distance():
     L = build_lattice([[2.0, 0.0], [0.0, 2.0]])
     d = L.distance(np.array([[2.0, 0.1], [1.0, 1.0]]))
@@ -268,6 +277,20 @@ def test_refine_warns_once_per_call(caplog):
         "dropping periods with no rational coordinates of denominator <= 16: "
         f"3 refused (first [1.4142135623730951], largest residual {worst:.3e})"
     )
+
+
+def test_refine_retries_deferred_periods_against_the_merged_lattice(caplog):
+    # 1.0 has no coordinate of denominator <= 64 against 1000; 20.0 has one,
+    # and against the merged lattice of 20 the deferred 1.0 fits
+    L = build_lattice([[1000.0]])
+    with caplog.at_level("WARNING", logger="idealcrystal.crystal"):
+        R = refine_lattice(L, [np.array([1.0]), np.array([20.0])])
+    assert abs(R.det) == 1.0
+    assert not caplog.records
+    # alone, the period 1.0 is refused with the warning
+    with caplog.at_level("WARNING", logger="idealcrystal.crystal"):
+        assert refine_lattice(L, [np.array([1.0])]) is L
+    assert any("dropping period" in m for m in caplog.messages)
 
 
 def test_refine_validation():
@@ -1045,6 +1068,31 @@ def test_recover_empty_centre_is_staged():
     assert "anchor" in out.reason
 
 
+@pytest.mark.parametrize("origin", [False, True])
+def test_recover_window_without_measurable_scales_is_staged_at_input(origin):
+    # the unit square lattice kept only on 27.5 <= |x| <= 30: fewer than two
+    # points lie within 0.9 R of the origin, where D is measured
+    S = disc_lattice(30.0)
+    norms = np.linalg.norm(S.points, axis=1)
+    pts = S.points[(norms >= 27.5) & (norms <= 30.0)]
+    assert len(pts) == 444
+    if origin:
+        pts = np.vstack([pts, [[0.0, 0.0]]])
+    out = recover_crystal(WindowedSet(pts, 30.0))
+    assert isinstance(out, NoCrystalEvidence)
+    assert out.stage == "input"
+    assert "nearest the origin" in out.reason
+    assert "core_margin" not in out.reason
+
+
+def test_recover_r_min_past_half_the_radius_is_staged():
+    S = gen_ideal_crystal(PLANE_B, PLANE_F, 30.0)
+    out = recover_crystal(S, RunConfig(r_min=20.0))
+    assert isinstance(out, NoCrystalEvidence)
+    assert out.stage == "candidate-generation"
+    assert out.reason == "candidate annulus empty: r_min 20 >= R/2 15"
+
+
 def test_recover_fibonacci_negative():
     S = gen_cut_and_project((1 + np.sqrt(5)) / 2, (0.0, 1.0), 260.0)
     out = recover_crystal(S)
@@ -1372,8 +1420,7 @@ _CRYSTALS = pytest.mark.parametrize("B, F, R, strategy", [
 
 def _greedy_closure(periods, p):
     """The shortest independent periods, closed over all of them."""
-    seed = crystal_mod._greedy_basis(
-        crystal_mod._sorted_period_vectors(periods), p)
+    seed = crystal_mod._greedy_basis(periods, p)
     if seed is None:
         return None
     return refine_lattice(build_lattice(seed), periods, 64)

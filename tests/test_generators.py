@@ -209,3 +209,36 @@ def test_poisson_argument_validation():
         gen_poisson(1.0, -5.0, 1)
     with pytest.raises(ConfigError):
         gen_poisson(1.0, 10.0, 1, dim=0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_ideal_crystal([[1.0]], [[0.0]], np.inf),
+    lambda: gen_ideal_crystal([[1.0]], [[0.0]], np.nan),
+    lambda: gen_ideal_crystal([[1.0]], [[np.nan]], 5.0),
+    # past int64 the enumeration's coordinates used to wrap to one point
+    # at -9.22e18
+    lambda: gen_ideal_crystal([[1.0]], [[0.0]], 1e19),
+    lambda: gen_perturbed_lattice([[1.0]], 0.1, [0.5], np.inf),
+    lambda: gen_perturbed_lattice([[1.0]], 0.1, [0.5], 1e19),
+    lambda: gen_perturbed_lattice([[1.0]], np.nan, [0.5], 10.0),
+    lambda: gen_perturbed_lattice([[1.0]], 0.1, [np.nan], 10.0),
+    lambda: gen_cut_and_project(np.inf, (0.0, 1.0), 10.0),
+    lambda: gen_cut_and_project(np.nan, (0.0, 1.0), 10.0),
+    lambda: gen_cut_and_project(1.5, (0.0, np.inf), 10.0),
+    lambda: gen_cut_and_project(1.5, (0.0, 1.0), np.nan),
+    lambda: gen_poisson(np.nan, 5.0, 1),
+    lambda: gen_poisson(np.inf, 5.0, 1),
+    lambda: gen_poisson(1.0, np.inf, 1),
+    # Poisson means numpy cannot draw
+    lambda: gen_poisson(1.0, 1e300, 1),
+    lambda: gen_poisson(1.0, 1e300, 1, dim=2),
+], ids=["crystal-inf-radius", "crystal-nan-radius", "crystal-nan-residue",
+        "crystal-int64", "perturbed-inf-radius", "perturbed-int64",
+        "perturbed-nan-amplitude", "perturbed-nan-freqs", "cut-project-inf-slope",
+        "cut-project-nan-slope", "cut-project-inf-window",
+        "cut-project-nan-radius", "poisson-nan-intensity",
+        "poisson-inf-intensity", "poisson-inf-radius", "poisson-huge-mean-1d",
+        "poisson-huge-mean-2d"])
+def test_generators_refuse_what_they_cannot_build(make):
+    with pytest.raises(ConfigError):
+        make()
