@@ -12,8 +12,10 @@ check's ball enumeration (crystal._lattice_points), in one array, and check
 their basis with crystal.build_lattice under their own determinant floor.
 Every generator refuses with ConfigError what it cannot build from: a
 radius or intensity that is not finite and positive, a non-finite slope,
-interval, frequency or residue, lattice coordinates past int64 and a
-Poisson mean numpy cannot draw.
+interval, frequency or residue, lattice coordinates past int64, a
+Poisson mean numpy cannot draw and an array past the largest size numpy
+can make (``_check_array_size``), which numpy would refuse with a
+ValueError of its own.
 """
 
 from __future__ import annotations
@@ -44,6 +46,17 @@ def _positive(name: str, value) -> float:
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"{name} must be finite and positive, got {value:g}")
     return value
+
+
+def _check_array_size(rows: int, row_bytes: int, what: str) -> None:
+    """ConfigError when an array of rows rows of row_bytes bytes each is
+    past the largest size numpy can make, ``np.intp`` bytes. A smaller one
+    can still exhaust memory, and a MemoryError tells the caller so."""
+    if rows * row_bytes > np.iinfo(np.intp).max:
+        raise ConfigError(
+            f"{what} needs an array of {rows} rows of {row_bytes} bytes, "
+            "past the largest array numpy can make"
+        )
 
 
 def _ball_points(B: np.ndarray, inv: np.ndarray, radius: float):
@@ -153,6 +166,7 @@ def gen_cut_and_project(slope: float, window, R: float,
 
     span = max(abs(lo), abs(hi))
     M = int(np.ceil((R + abs(slope) * span) / (1 + slope * slope))) + 3
+    _check_array_size(2 * M + 1, 8, f"radius {R:g}")
     m = np.arange(-M, M + 1)
     y = m * slope
     # integers n with lo <= y - n < hi, i.e. y - hi < n <= y - lo
@@ -196,6 +210,9 @@ def gen_poisson(intensity: float, R: float, seed: int, dim: int = 1,
             f"cannot draw a Poisson count for intensity {intensity:g} in the "
             f"ball of radius {R:g} in dimension {dim}: {e}"
         ) from None
+    # each round draws twice the points still missing
+    _check_array_size(max(2 * count, 16), 8 * dim,
+                      f"a Poisson count of {count} points")
     pts = np.zeros((0, dim))
     while len(pts) < count:
         need = count - len(pts)

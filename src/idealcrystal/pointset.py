@@ -12,7 +12,16 @@ the sweep cannot separate; the nearest-neighbour distance of every point
 for. Input already in canonical order (as ``serialize`` writes it) is
 copied, not re-sorted; a non-finite radius is refused.
 
-JSON point lists are parsed column-wise: one numpy conversion takes a
+JSON text is parsed by orjson, whose correctly rounded number parser
+gives the floats the standard library's ``json`` gives, several times
+faster. Its reading is taken only where it is provably ``json``'s
+(``_load_json``): a document nested deeper than ``_FAST_DEPTH``
+(measured on the text first, as orjson's recursion has no limit), one
+orjson refuses (NaN or Infinity, integers past the float range, lone
+surrogates), and one whose ``dim`` or label orjson would read with
+another type, are parsed by ``json.loads`` as before. Every document
+gives the same window, or the same error type and message, either way.
+JSON point lists are converted column-wise: one numpy conversion takes a
 well-formed list, and only a list it cannot take is scanned row by row,
 to name the first bad row.
 
@@ -34,6 +43,7 @@ import json
 from typing import IO, Union
 
 import numpy as np
+import orjson
 from scipy.spatial import cKDTree
 
 from ._util import gc_paused
@@ -287,12 +297,48 @@ def _load_csv(text: str) -> WindowedSet:
     return WindowedSet(np.array(rows, dtype=np.float64))
 
 
+#: Nesting depth up to which a document is read by orjson. orjson 3.8
+#: converts a document to Python objects by recursion without a limit, so
+#: nesting tens of thousands of levels deep overflows the C stack;
+#: json.loads refuses nesting past the interpreter's remaining recursion
+#: depth.
+_FAST_DEPTH = 32
+#: Characters per block of the nesting scan: 256 KiB of ASCII text.
+_SCAN_BLOCK = 1 << 18
+#: Every byte but the brackets and the quote, deleted before the nesting scan.
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+
+
 def _load_json(text: str) -> WindowedSet:
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as e:
-        # JSONDecodeError, the interpreter's int-digit limit, deep nesting
-        raise ParseError(f"invalid JSON: {e}")
+    """The window of a JSON document: orjson's reading where it is
+    provably the standard library's, else ``json.loads``'s.
+
+    The readings part in three ways. orjson's recursion has no limit and
+    overflows the C stack on deep enough nesting, where json refuses
+    nesting past the interpreter's remaining recursion depth: orjson only
+    sees a document nested at most ``_FAST_DEPTH`` deep, which json reads
+    too. orjson reads an integer outside the int64 and uint64 ranges as
+    the float json would round it to: points and radius come out the same,
+    but ``dim`` would read as a float and a label that is not a string
+    would print otherwise, so either sends the document to json. And
+    orjson refuses NaN, Infinity, integers past the float range and lone
+    surrogates, which json reads. Every document thus gives the window, or
+    the error type and message, that json's reading gives.
+    """
+    obj = None
+    if _nesting_depth(text) <= _FAST_DEPTH:
+        try:
+            obj = orjson.loads(text)
+        except orjson.JSONDecodeError:
+            pass
+    if not (isinstance(obj, dict) and not isinstance(obj.get("dim"), float)
+            and isinstance(obj.get("label", ""), str)):
+        obj = None  # freed before json builds its own
+        try:
+            obj = json.loads(text)
+        except (ValueError, RecursionError) as e:
+            # JSONDecodeError, the interpreter's int-digit limit, deep nesting
+            raise ParseError(f"invalid JSON: {e}")
     if not isinstance(obj, dict) or "points" not in obj:
         raise ParseError("JSON point set must be an object with a 'points' key")
     raw = obj["points"]
@@ -311,6 +357,31 @@ def _load_json(text: str) -> WindowedSet:
         except (TypeError, ValueError, OverflowError):
             raise ParseError("'radius' must be a number")
     return WindowedSet(pts, radius, str(obj.get("label", "")))
+
+
+def _nesting_depth(text: str) -> int:
+    """How deep the lists and objects of JSON text nest, exact for valid
+    JSON whatever its strings hold. (orjson converts only a document it
+    has validated, so an invalid one cannot overflow its stack.)
+
+    Escaped backslashes and quotes are dropped first, so every quote left
+    opens or closes a string. Each block of the text is then cut down to
+    its brackets and quotes (``bytes.translate``, one pass in C), and the
+    depth is the running count of opening less closing brackets outside
+    strings over that far shorter sequence.
+    """
+    if "\\" in text:
+        text = text.replace("\\\\", "").replace('\\"', "")
+    marks = np.frombuffer(b"".join(
+        text[start:start + _SCAN_BLOCK].encode("utf-8", "surrogatepass")
+        .translate(None, _NOT_STRUCTURE)
+        for start in range(0, len(text), _SCAN_BLOCK)), dtype=np.uint8)
+    outside = np.cumsum(marks == ord('"')) % 2 == 0
+    opening = (marks == ord("[")) | (marks == ord("{"))
+    closing = (marks == ord("]")) | (marks == ord("}"))
+    depth = np.cumsum((opening & outside).view(np.int8)
+                      - (closing & outside).view(np.int8))
+    return int(depth.max()) if len(depth) else 0
 
 
 def _json_rows(raw: list, dim: int | None) -> np.ndarray:

@@ -65,6 +65,9 @@ def test_generate_crystal_residue_width_mismatch_exits_1(residues):
     ["crystal", "--radius", "1e19"],
     ["poisson", "--intensity", "nan", "--radius", "5"],
     ["poisson", "--radius", "1e300"],
+    # arrays past numpy's size limit used to fail numpy's own ValueError
+    ["poisson", "--intensity", "1e15", "--radius", "1000"],
+    ["cut_project", "--radius", "1e19"],
 ])
 def test_generate_unbuildable_window_exits_1(args):
     # each used to end in a traceback, or for 1e19 to print one wrapped point

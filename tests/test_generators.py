@@ -232,13 +232,18 @@ def test_poisson_argument_validation():
     # Poisson means numpy cannot draw
     lambda: gen_poisson(1.0, 1e300, 1),
     lambda: gen_poisson(1.0, 1e300, 1, dim=2),
+    # windows past the largest array numpy can make
+    lambda: gen_poisson(1e15, 1000.0, 1),
+    lambda: gen_poisson(1e3, 1e5, 1, dim=3),
+    lambda: gen_cut_and_project((1 + 5**0.5) / 2, (0.0, 1.0), 1e19),
 ], ids=["crystal-inf-radius", "crystal-nan-radius", "crystal-nan-residue",
         "crystal-int64", "perturbed-inf-radius", "perturbed-int64",
         "perturbed-nan-amplitude", "perturbed-nan-freqs", "cut-project-inf-slope",
         "cut-project-nan-slope", "cut-project-inf-window",
         "cut-project-nan-radius", "poisson-nan-intensity",
         "poisson-inf-intensity", "poisson-inf-radius", "poisson-huge-mean-1d",
-        "poisson-huge-mean-2d"])
+        "poisson-huge-mean-2d", "poisson-past-array-size-1d",
+        "poisson-past-array-size-3d", "cut-project-past-array-size"])
 def test_generators_refuse_what_they_cannot_build(make):
     with pytest.raises(ConfigError):
         make()

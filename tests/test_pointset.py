@@ -7,6 +7,7 @@ the O(n^2) oracle next to the library call.
 import gc
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -23,6 +24,7 @@ from idealcrystal import (
     DimensionMismatch,
     DuplicatePoint,
     EmptyWindow,
+    IdealCrystalError,
     ParseError,
     TooFewPoints,
     WindowedSet,
@@ -31,7 +33,14 @@ from idealcrystal import (
     serialize,
     window_restrict,
 )
-from idealcrystal.pointset import TOL_EQ, _canonical_order, _in_canonical_order
+from idealcrystal.pointset import (
+    _SCAN_BLOCK,
+    TOL_EQ,
+    _canonical_order,
+    _in_canonical_order,
+    _json_rows,
+    _nesting_depth,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -493,6 +502,226 @@ def test_json_rendering_matches_per_coordinate_reference():
 def test_json_bad_input_is_parse_error(text):
     with pytest.raises(ParseError):
         load_points(text, "json")
+
+
+# -- the JSON reader against the standard library's reading -----------------
+
+
+def _stdlib_outcome(text):
+    """The window json.loads and _json_rows make of a document, or the
+    (type, message) of the error, as load_points reports them."""
+    try:
+        try:
+            obj = json.loads(text)
+        except (ValueError, RecursionError) as e:
+            raise ParseError(f"invalid JSON: {e}")
+        if not isinstance(obj, dict) or "points" not in obj:
+            raise ParseError(
+                "JSON point set must be an object with a 'points' key")
+        raw = obj["points"]
+        if not isinstance(raw, list):
+            raise ParseError("'points' must be a list of coordinate rows")
+        dim = obj.get("dim")
+        if dim is not None and (
+            isinstance(dim, bool) or not isinstance(dim, int) or dim < 1
+        ):
+            raise ParseError("'dim' must be a positive integer")
+        pts = _json_rows(raw, dim)
+        radius = obj.get("radius")
+        if radius is not None:
+            try:
+                radius = float(radius)
+            except (TypeError, ValueError, OverflowError):
+                raise ParseError("'radius' must be a number")
+        return WindowedSet(pts, radius, str(obj.get("label", "")))
+    except ConfigError as e:
+        return ParseError, str(e)
+    except IdealCrystalError as e:
+        return type(e), str(e)
+
+
+def _reader_outcome(text):
+    try:
+        return load_points(text, "json")
+    except IdealCrystalError as e:
+        return type(e), str(e)
+
+
+def _assert_same_outcome(text):
+    want, got = _stdlib_outcome(text), _reader_outcome(text)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, WindowedSet), got
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.points.shape == want.points.shape
+        assert struct.pack("<d", got.radius) == struct.pack("<d", want.radius)
+        assert got.label == want.label
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                -1.7976931348623157e308]
+_EDGE_INTS = [2**53 - 1, 2**53 + 1, 2**63 - 1, 2**63 + 1, 2**64 - 1,
+              2**64 + 1, 2**70, int("7" * 400), 0, 1, 3]
+_EDGE_INTS += [-n for n in _EDGE_INTS]
+
+
+def _float_of_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _float_text(x, form):
+    if form == "repr" or not np.isfinite(x):
+        return json.dumps(x)  # NaN, Infinity and -Infinity as json writes them
+    return format(x, form)
+
+
+def _one_in(n):
+    return st.integers(1, n).map(lambda k: k == 1)
+
+
+@st.composite
+def _coordinate(draw):
+    kind = draw(st.integers(0, 9))
+    if kind < 7:
+        if kind < 3:
+            x = draw(st.integers(0, 2**64 - 1).map(_float_of_bits))
+        elif kind < 6:  # distinct points more often than tiny bit patterns
+            x = draw(st.floats(-100.0, 100.0))
+        else:
+            x = draw(st.sampled_from(_EDGE_FLOATS))
+        return _float_text(x, draw(st.sampled_from(
+            ["repr", ".3e", ".25e", ".30f"])))
+    if kind < 9:
+        return str(draw(st.sampled_from(_EDGE_INTS)))
+    return draw(st.sampled_from(["true", "false"]))
+
+
+_label = st.one_of(
+    st.builds(json.dumps, st.text(max_size=8), ensure_ascii=st.booleans()),
+    st.sampled_from([
+        r'"a\"b\\c\n\té\/"', '"é漢字 \U0001f600"',
+        r'"\ud800"', '"\ud800"', r'"\udfff\ud800x"', '"[{"',
+        "null", "7", str(2**64 + 1), str(-(2**63) - 1), "[1, [2]]",
+        '{"k": %d}' % 2**70,
+    ]),
+)
+_scalar = st.one_of(
+    _coordinate(),
+    st.sampled_from(["null", '"1.5"', '"x"', "NaN", "-Infinity", "1e400"]),
+)
+
+
+def _nested(depth, brackets):
+    opening, closing = brackets
+    return opening * depth + "1" + closing * depth
+
+
+_deep = st.builds(_nested, st.sampled_from([1, 32, 33, 1100, 100_000]),
+                  st.sampled_from([("[", "]"), ('{"a": ', "}")]))
+_value = st.one_of(_scalar, _deep, _label)
+
+
+@st.composite
+def _json_documents(draw):
+    """JSON point files, most of them valid windows, with the numbers,
+    labels, repeated keys and nesting where orjson and json part ways."""
+    dim = draw(st.integers(1, 3))
+    rows = ["[%s]" % ", ".join(draw(_coordinate()) for _ in range(dim))
+            for _ in range(draw(st.integers(1, 5)))]
+    if draw(_one_in(4)):  # a ragged, scalar or nested row
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.one_of(
+            _coordinate(), _deep,
+            st.just("[%s]" % ", ".join(["1"] * (dim + 1)))))
+    pairs = [("points", "[%s]" % ", ".join(rows))]
+    if draw(st.booleans()):
+        pairs.append(("label", draw(_label)))
+    if draw(_one_in(3)):
+        pairs.append(("radius", draw(st.one_of(_scalar, _deep))))
+    if draw(st.booleans()):
+        pairs.append(("dim", str(dim) if not draw(_one_in(4)) else draw(
+            st.one_of(_scalar, st.sampled_from([str(2**64), "2.0"])))))
+    if draw(st.booleans()):
+        pairs.append(("generator", draw(_value)))
+    for _ in range(draw(st.integers(0, 2))):  # a key given twice
+        key = draw(st.sampled_from([k for k, _ in pairs] + ["extra"]))
+        pairs.insert(0, (key, draw(_value)))
+    return "{%s}" % ", ".join(f"{json.dumps(k)}: {v}" for k, v in pairs)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_json_documents())
+@example('{"points": [[1.0, -0.0], [5e-324, 2.5]], "label": "x"}')
+@example('{"points": [[%d, 1.5]], "dim": %d}' % (2**64 + 1, 2**64))
+@example('{"label": %d, "points": [[1.0]]}' % 2**64)
+@example('{"x": %s, "x": 1, "points": [[1.0]]}' % _nested(100_000, ("[", "]")))
+@example('{"points": [[1.0]], "x": %s}' % _nested(100_000, ('{"a": ', "}")))
+@example('{"points": [[1.0]], "label": "\\ud800"}')
+@example('{"points": [[NaN]], "radius": Infinity}')
+def test_json_reader_matches_the_standard_library(text):
+    # the same window bit for bit, or the same error type and message
+    _assert_same_outcome(text)
+
+
+@pytest.mark.parametrize("brackets", [("[", "]"), ('{"a": ', "}")],
+                         ids=["lists", "objects"])
+def test_json_deep_nesting_is_refused_not_crashed(brackets):
+    # orjson converts by unbounded recursion: 3e5 levels overflow the C
+    # stack, so such a document must never reach it
+    text = '{"points": [[1.0]], "x": %s}' % _nested(300_000, brackets)
+    with pytest.raises(ParseError, match="recursion"):
+        load_points(text, "json")
+
+
+def test_json_invalid_deep_document_is_refused_not_crashed():
+    # the stray quote hides the nesting from the scan, and orjson, which
+    # validates the whole text before it converts any, refuses it
+    text = '[1, "a", x" %s]' % _nested(300_000, ("[", "]"))
+    with pytest.raises(ParseError, match="invalid JSON"):
+        load_points(text, "json")
+
+
+def _depth_of(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    elif not isinstance(value, list):
+        return 0
+    return 1 + max(map(_depth_of, value), default=0)
+
+
+_tricky_text = st.text(alphabet='[]{}"\\a\n\u00e9', max_size=6)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | _tricky_text,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_tricky_text, inner, max_size=3),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_json_values, st.booleans())
+@example(["a" * (_SCAN_BLOCK - 4) + '\\"]]}}', [[1]]], True)
+@example({"x": ']]]\\' * 3, "y": [{"z": "[[[\\\\"}]}, False)
+def test_nesting_depth_counts_brackets_outside_strings(value, ascii_only):
+    text = json.dumps(value, ensure_ascii=ascii_only)
+    assert _nesting_depth(text) == _depth_of(value)
+
+
+def test_json_reader_matches_the_standard_library_on_files():
+    rng = np.random.default_rng(5)
+    S = WindowedSet(rng.normal(size=(2000, 3)) * 10.0, 100.0, label="files")
+    for meta in (None, {"seed": 3, "basis": [[1.0, 0.0], [0.0, 1.0]]}):
+        text = serialize(S, "json", metadata=meta)
+        _assert_same_outcome(text)
+        assert load_points(text, "json").equals(S)
+
+
+def test_json_lone_surrogate_label_roundtrips():
+    S = WindowedSet([[0.5, -1.25], [2.0, 2.0]], 4.0, label="\ud800")
+    T = load_points(serialize(S, "json"), "json")
+    assert S.equals(T)
+    assert T.label == "\ud800"
 
 
 def test_unknown_format():
