@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .almost_period import TOL_EXACT
 from .errors import ConfigError
 
 STRATEGIES = ("greedy-det", "paper-cone")
@@ -21,7 +22,7 @@ class RunConfig:
     cone_scale: float = 1.0
     r_min: float | None = None
     r_max: float | None = None
-    tol_exact: float = 1e-8
+    tol_exact: float = TOL_EXACT
     min_points: int = 50
 
     def validate(self) -> "RunConfig":

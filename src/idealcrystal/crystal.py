@@ -48,7 +48,7 @@ from .geometry import _core_max, finite_type_gap
 from .almost_period import (candidate_almost_periods,  # noqa: F401
                             is_almost_period, snap_to_period)
 from .geometry import denseness_radius, difference_vectors  # noqa: F401
-from .pointset import TOL_EQ, WindowedSet, window_restrict
+from .pointset import TOL_EQ, WindowedSet, _canonical_order, window_restrict
 
 log = logging.getLogger(__name__)
 
@@ -381,8 +381,7 @@ def residues(S: WindowedSet, L: Lattice) -> np.ndarray:
         if not any(_same_coset(fracs[i], g, L.coord_tol) for g in kept):
             kept.append(fracs[i])
     out = np.array(kept) @ L.basis
-    keys = tuple(out[:, k] for k in range(out.shape[1] - 1, -1, -1))
-    out = np.ascontiguousarray(out[np.lexsort(keys)])
+    out = np.ascontiguousarray(out[_canonical_order(out)])
     out.flags.writeable = False
     return out
 
@@ -467,14 +466,14 @@ def verify_decomposition(S: WindowedSet, L: Lattice, F,
 
     Inclusion in: every target t + f inside the window (radius R -
     tol_exact) must hit a point of S within tol_exact. Inclusion out: every
-    core point (|a| <= R - sum |T_j|) must sit within tol_exact of L + F.
-    Failures lower the coverages and are sampled into the witness lists
-    (the first ten in the order of (n_1, f, n_2, ..., n_p), n the lattice
-    coordinates of t, then in core order).
+    window point must sit within tol_exact of L + F. Failures lower the
+    coverages and are sampled into the witness lists (the first ten in the
+    order of (n_1, f, n_2, ..., n_p), n the lattice coordinates of t, then
+    in canonical order).
 
     Both run in integer lattice coordinates, with no neighbour queries.
     Per residue f every window point a is mapped once to n = round((a-f)
-    B^-1) and t = n B; inclusion out reads |a - f - t| on the core. The
+    B^-1) and t = n B; inclusion out reads |a - f - t| on every row. The
     mapping runs over blocks of _ROW_BLOCK rows, so past the O(n) `best`
     and hit arrays the working set is one block's temporaries, and keys are
     packed for the hit rows only; each row's arithmetic does not depend on
@@ -579,18 +578,11 @@ def verify_decomposition(S: WindowedSet, L: Lattice, F,
         miss = np.flatnonzero(np.isin(qkey, seen, invert=True))
         wit_in = q[miss[np.argsort(qkey[miss], kind="stable")[:10]]]
 
-    sigma = float(np.linalg.norm(L.basis, axis=1).sum())
-    core = np.flatnonzero(S.norms() <= R - sigma)
-    checked_out = len(core)
-    found_out = 0
-    wit_out = np.zeros((0, S.dim))
-    if checked_out:
-        best = best[core]
-        ok = best <= tol_exact
-        found_out = int(ok.sum())
-        if ok.any():
-            max_residual = max(max_residual, float(best[ok].max()))
-        wit_out = pts[core[~ok][:10]]
+    ok = best <= tol_exact
+    checked_out, found_out = len(pts), int(ok.sum())
+    max_residual = max(max_residual,
+                       float(np.max(best, where=ok, initial=0.0)))
+    wit_out = pts[np.flatnonzero(~ok)[:10]]
 
     coverage_in = found_in / checked_in if checked_in else 1.0
     coverage_out = found_out / checked_out if checked_out else 1.0

@@ -14,13 +14,14 @@ copied, not re-sorted; a non-finite radius is refused.
 
 JSON text is parsed by orjson, whose correctly rounded number parser
 gives the floats the standard library's ``json`` gives, several times
-faster. Its reading is taken only where it is provably ``json``'s
-(``_load_json``): a document nested deeper than ``_FAST_DEPTH``
-(measured on the text first, as orjson's recursion has no limit), one
-orjson refuses (NaN or Infinity, integers past the float range, lone
-surrogates), and one whose ``dim`` or label orjson would read with
-another type, are parsed by ``json.loads`` as before. Every document
-gives the same window, or the same error type and message, either way.
+faster (``_load_json``). A document nested deeper than ``_MAX_DEPTH``
+is refused before any parser sees it (measured on the text, as orjson's
+recursion has no limit); one orjson refuses is read by ``json.loads``,
+which also takes NaN, Infinity, integers past the float range and lone
+surrogates. ``dim`` is an integer from 1 to 2**63 - 1; the label and the
+radius are checked by ``WindowedSet`` alone, as a ``str`` and a real
+number, so a document gives one window, or one error, whichever parser
+reads it.
 JSON point lists are converted column-wise: one numpy conversion takes a
 well-formed list, and only a list it cannot take is scanned row by row,
 to name the first bad row.
@@ -40,6 +41,8 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import numbers
 from typing import IO, Union
 
 import numpy as np
@@ -87,12 +90,13 @@ class WindowedSet:
     ----------
     points : array-like, shape (n, p)
         Coordinates. One-dimensional input is treated as n points in R^1.
-    radius : float, optional
-        Window radius, finite and non-negative. Defaults to ``max |a|``
-        over the points.
+    radius : real number, optional
+        Window radius, finite and non-negative; a ``bool``, a string or
+        any other value that is not a real number raises ConfigError.
+        Defaults to ``max |a|`` over the points.
     label : str
         Free-form provenance string, carried through restriction and
-        serialization.
+        serialization; any other type raises ConfigError.
 
     The points are stored in canonical lexicographic order, in an array
     the container owns: input already in that order is copied, other
@@ -120,7 +124,9 @@ class WindowedSet:
         pts.flags.writeable = False
         self.points = pts
         self.dim = int(pts.shape[1]) if pts.shape[0] else max(int(pts.shape[1]), 1)
-        self.label = str(label)
+        if not isinstance(label, str):
+            raise ConfigError("label must be a string")
+        self.label = label
 
         with np.errstate(over="ignore"):  # inf fails the radius check
             norms = np.linalg.norm(pts, axis=1) if len(pts) else np.zeros(0)
@@ -136,7 +142,12 @@ class WindowedSet:
 
         if radius is None:
             radius = float(norms.max()) if len(pts) else 0.0
-        radius = float(radius)
+        elif isinstance(radius, bool) or not isinstance(radius, numbers.Real):
+            raise ConfigError("radius must be a real number")
+        try:
+            radius = float(radius)
+        except OverflowError:  # an integer past the float range
+            radius = math.inf if radius > 0 else -math.inf
         if not np.isfinite(radius):
             raise ConfigError(f"radius must be finite, got {radius:g}")
         if radius < 0:
@@ -297,12 +308,12 @@ def _load_csv(text: str) -> WindowedSet:
     return WindowedSet(np.array(rows, dtype=np.float64))
 
 
-#: Nesting depth up to which a document is read by orjson. orjson 3.8
-#: converts a document to Python objects by recursion without a limit, so
-#: nesting tens of thousands of levels deep overflows the C stack;
-#: json.loads refuses nesting past the interpreter's remaining recursion
-#: depth.
-_FAST_DEPTH = 32
+#: The deepest nesting a JSON point file may have. orjson 3.8 converts a
+#: document to Python objects by recursion without a limit, so nesting tens
+#: of thousands of levels deep overflows the C stack; json.loads refuses
+#: nesting past the interpreter's remaining recursion depth, which depends
+#: on the caller. Below this limit neither happens.
+_MAX_DEPTH = 32
 #: Characters per block of the nesting scan: 256 KiB of ASCII text.
 _SCAN_BLOCK = 1 << 18
 #: Every byte but the brackets and the quote, deleted before the nesting scan.
@@ -310,34 +321,26 @@ _NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
 
 
 def _load_json(text: str) -> WindowedSet:
-    """The window of a JSON document: orjson's reading where it is
-    provably the standard library's, else ``json.loads``'s.
+    """The window of a JSON document.
 
-    The readings part in three ways. orjson's recursion has no limit and
-    overflows the C stack on deep enough nesting, where json refuses
-    nesting past the interpreter's remaining recursion depth: orjson only
-    sees a document nested at most ``_FAST_DEPTH`` deep, which json reads
-    too. orjson reads an integer outside the int64 and uint64 ranges as
-    the float json would round it to: points and radius come out the same,
-    but ``dim`` would read as a float and a label that is not a string
-    would print otherwise, so either sends the document to json. And
-    orjson refuses NaN, Infinity, integers past the float range and lone
-    surrogates, which json reads. Every document thus gives the window, or
-    the error type and message, that json's reading gives.
+    A document nested deeper than ``_MAX_DEPTH`` is refused, measured on
+    the text before either parser sees it. orjson reads the rest; one it
+    refuses (NaN, Infinity, integers past the float range, lone
+    surrogates) is read by ``json.loads``. orjson reads an integer outside
+    the int64 and uint64 ranges as the float json rounds it to, so the
+    readings part only in types that the field checks refuse either way:
+    ``dim`` must be an int from 1 to 2**63 - 1, and ``WindowedSet`` takes
+    only a ``str`` label and a real radius. Every document thus gives one
+    window, or one error type and message, whichever parser read it.
     """
-    obj = None
-    if _nesting_depth(text) <= _FAST_DEPTH:
-        try:
-            obj = orjson.loads(text)
-        except orjson.JSONDecodeError:
-            pass
-    if not (isinstance(obj, dict) and not isinstance(obj.get("dim"), float)
-            and isinstance(obj.get("label", ""), str)):
-        obj = None  # freed before json builds its own
+    if _nesting_depth(text) > _MAX_DEPTH:
+        raise ParseError(f"JSON nested deeper than {_MAX_DEPTH} levels")
+    try:
+        obj = orjson.loads(text)
+    except orjson.JSONDecodeError:
         try:
             obj = json.loads(text)
-        except (ValueError, RecursionError) as e:
-            # JSONDecodeError, the interpreter's int-digit limit, deep nesting
+        except ValueError as e:  # JSONDecodeError, the int-digit limit
             raise ParseError(f"invalid JSON: {e}")
     if not isinstance(obj, dict) or "points" not in obj:
         raise ParseError("JSON point set must be an object with a 'points' key")
@@ -345,18 +348,11 @@ def _load_json(text: str) -> WindowedSet:
     if not isinstance(raw, list):
         raise ParseError("'points' must be a list of coordinate rows")
     dim = obj.get("dim")
-    if dim is not None and (
-        isinstance(dim, bool) or not isinstance(dim, int) or dim < 1
-    ):
-        raise ParseError("'dim' must be a positive integer")
-    pts = _json_rows(raw, dim)
-    radius = obj.get("radius")
-    if radius is not None:
-        try:
-            radius = float(radius)
-        except (TypeError, ValueError, OverflowError):
-            raise ParseError("'radius' must be a number")
-    return WindowedSet(pts, radius, str(obj.get("label", "")))
+    if dim is not None and (isinstance(dim, bool) or not isinstance(dim, int)
+                            or not 1 <= dim < 2**63):
+        raise ParseError("'dim' must be an integer from 1 to 2**63 - 1")
+    return WindowedSet(_json_rows(raw, dim), obj.get("radius"),
+                       obj.get("label", ""))
 
 
 def _nesting_depth(text: str) -> int:

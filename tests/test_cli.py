@@ -189,6 +189,25 @@ def test_analyze_bad_json_exit_1():
         assert a.stderr.startswith("error:"), a.stderr[-200:]
 
 
+@pytest.mark.parametrize("depth", [31, 40])
+def test_analyze_nesting_limit_does_not_depend_on_the_stack(tmp_path, depth):
+    # a fresh process has the interpreter's default recursion limit, under
+    # which json.loads reads far more than 40 levels; the limit is the file
+    # format's, so this gives what load_points gives inside a hypothesis
+    # test (tests/test_pointset.py). 31 levels in the generator value make
+    # the document 32 deep, at the limit
+    src = tmp_path / "nested.json"
+    src.write_text('{"points": [[1.0]], "generator": %s}'
+                   % ("[" * depth + "1" + "]" * depth))
+    a = run("analyze", str(src))
+    if depth < 32:
+        assert a.returncode == 3, a.stderr[-200:]
+        assert json.loads(a.stdout)["stage"] == "input"
+    else:
+        assert a.returncode == 1
+        assert a.stderr == "error: JSON nested deeper than 32 levels\n"
+
+
 def test_analyze_non_utf8_file_exit_1(tmp_path):
     src = tmp_path / "latin1.csv"
     src.write_bytes(b"\xff# radius: 5\n1.0\n2.0\n")

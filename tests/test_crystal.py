@@ -635,26 +635,20 @@ def _reference_verify_decomposition(S, L, F, tol_exact=TOL_EXACT):
                     max_residual = max(max_residual, float(d[ok].max()))
                 for bad in pts[~ok][: max(0, 10 - len(wit_in))]:
                     wit_in.append(bad)
-    sigma = float(np.linalg.norm(L.basis, axis=1).sum())
-    core = np.flatnonzero(S.norms() <= R - sigma)
-    found_out = 0
-    wit_out = []
-    if len(core):
-        core_pts = S.points[core]
-        best = np.full(len(core_pts), np.inf)
-        for f in F:
-            best = np.minimum(best, L.distance(core_pts - f))
-        ok = best <= tol_exact
-        found_out = int(ok.sum())
-        if ok.any():
-            max_residual = max(max_residual, float(best[ok].max()))
-        wit_out = list(core_pts[~ok][:10])
+    best = np.full(len(S), np.inf)
+    for f in F:
+        best = np.minimum(best, L.distance(S.points - f))
+    ok = best <= tol_exact
+    found_out = int(ok.sum())
+    if ok.any():
+        max_residual = max(max_residual, float(best[ok].max()))
+    wit_out = list(S.points[~ok][:10])
     return dict(
         coverage_in=found_in / checked_in if checked_in else 1.0,
-        coverage_out=found_out / len(core) if len(core) else 1.0,
+        coverage_out=found_out / len(S) if len(S) else 1.0,
         max_residual=max_residual,
         checked_in=checked_in,
-        checked_out=len(core),
+        checked_out=len(S),
         witnesses_in=np.array(wit_in).reshape(-1, S.dim).tobytes(),
         witnesses_out=np.array(wit_out).reshape(-1, S.dim).tobytes(),
     )
@@ -724,8 +718,8 @@ def _verify_parity_cases():
     tess_holed = WindowedSet(
         np.delete(tess.points, rng.choice(len(tess), size=12, replace=False),
                   axis=0), tess.radius)
-    # two points 6e-9 apart, 2e-9 and 4e-9 from one target outside the
-    # core: one hit key twice, whose residual is the nearer point's
+    # two points 6e-9 apart, 2e-9 and 4e-9 from one target near the rim:
+    # one hit key twice, counted once; inclusion out reads both points
     out = order[np.searchsorted(plane.norms()[order], plane.radius - 1.0)]
     a = plane.points[out]
     twin = WindowedSet(
@@ -796,8 +790,9 @@ def test_verify_parity_cases_cover_every_outcome():
         assert len(seen[name].witnesses_in) == 10, name
         assert seen[name].coverage_out == 1.0, name
     assert seen["p2-twin-hit"].verified
-    assert seen["p2-twin-hit"].max_residual == pytest.approx(2e-9, rel=0.01)
+    assert seen["p2-twin-hit"].max_residual == pytest.approx(4e-9, rel=0.01)
     assert seen["p2-twin-hit"].checked_in == seen["p2-plane"].checked_in
+    assert seen["p2-twin-hit"].coverage_in == 1.0
     rim_t = _rim_radius(seen["p2-rim"].lattice.basis)[1]
     assert seen["p2-rim"].witnesses_in.tolist() == [rim_t.tolist()]
 
@@ -849,8 +844,8 @@ def test_verify_plane_at_small_scale():
     B, F = np.array(PLANE_B) * c, np.array(PLANE_F) * c
     dec = verify_decomposition(WindowedSet(S.points * c, 30.0 * c),
                                build_lattice(B), F)
-    assert (dec.checked_in, dec.checked_out) == (5143, 4430)
-    assert (unit.checked_in, unit.checked_out) == (5143, 4430)
+    assert (dec.checked_in, dec.checked_out) == (5143, len(S))
+    assert (unit.checked_in, unit.checked_out) == (5143, len(S))
     assert dec.coverage_in == dec.coverage_out == 1.0
     # the generator enumerates to the same radius
     assert len(gen_ideal_crystal(B, F, 30.0 * c)) == len(S)
@@ -860,19 +855,22 @@ def test_enumeration_keeps_a_point_rounded_onto_the_sphere():
     # the ulp at R is 2^-21: s - g = R + 2^-22 rounds to R (a tie, to
     # even), and so does R + g, to s - 2^-21. Without its few ulps of
     # slack the enumeration radius R + max |f| would drop the lattice
-    # point s
+    # point s. Both targets are hit; the point R itself lies 2^-22 from
+    # s - g, past tol_exact, and inclusion out reports it
     R = 2.0 ** 31
     s, g = R + 0.5 + 2.0 ** -21, 0.5 + 2.0 ** -22
     S = gen_ideal_crystal([[s]], [[-g]], R)
     assert S.points.ravel().tolist() == [-g, R]
     dec = verify_decomposition(S, build_lattice([[s]]), [[-g]])
-    assert dec.checked_in == 2 and dec.verified
+    assert dec.checked_in == 2 and dec.coverage_in == 1.0
+    assert not dec.verified
+    assert dec.witnesses_out.tolist() == [[R]]
 
 
 def test_verify_does_not_depend_on_the_row_blocks(monkeypatch):
     # a two-coset plane cut into five row blocks, with a defect of each kind
-    # placed by row: two points within tol_exact of one target outside the
-    # core on either side of the first block boundary, an off-lattice extra
+    # placed by row: two points within tol_exact of one target near the
+    # rim on either side of the first block boundary, an off-lattice extra
     # in a middle block and a vacancy in the last block
     B, F, R = np.array(PLANE_B), np.array(PLANE_F), 30.0
     plane = gen_ideal_crystal(B, F, R)
@@ -903,12 +901,12 @@ def test_verify_does_not_depend_on_the_row_blocks(monkeypatch):
     assert blocked.max_residual.hex() == whole.max_residual.hex()
     assert _verify_fields(whole) == _reference_verify_decomposition(S, L, F)
     # each defect is seen: the vacancy is the one missed target, the extra
-    # the one point off L + F, and the twins hit their target once, with
-    # the nearer one's residual
+    # the one point off L + F, and the twins hit their target once; the
+    # farther one's residual is the largest, read by inclusion out
     assert whole.witnesses_in.tolist() == [pts[gone].tolist()]
     assert whole.witnesses_out.tolist() == [extra.tolist()]
     assert whole.checked_in * (1 - whole.coverage_in) == pytest.approx(1)
-    assert whole.max_residual == pytest.approx(2e-9, rel=0.01)
+    assert whole.max_residual == pytest.approx(4e-9, rel=0.01)
 
 
 def test_verify_peak_memory_per_point():
@@ -928,6 +926,57 @@ def test_verify_peak_memory_per_point():
     finally:
         tracemalloc.stop()
     assert peak / len(S) < 100, f"{peak / len(S):.0f} bytes per point"
+
+
+@st.composite
+def _crystals_with_a_stray_point(draw):
+    p = draw(st.integers(1, 3))
+    B = _rotated(p, draw(st.integers(0, 10_000)))
+    F = np.zeros((1, p))
+    if draw(st.booleans()):
+        frac = draw(st.lists(st.floats(0.2, 0.8), min_size=p, max_size=p))
+        F = np.vstack([F, np.array(frac) @ B])
+    R = draw(st.floats(3.0, [20.0, 10.0, 5.0][p - 1]))
+    S = gen_ideal_crystal(B, F, R)
+    u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=p,
+                               max_size=p)))
+    assume(np.linalg.norm(u) > 0.1)
+    u /= np.linalg.norm(u)
+    if draw(st.booleans()):  # anywhere in the window
+        x = u * draw(st.floats(0.0, R))
+    else:  # just past 10 tol_exact from a window point, rim included
+        a = S.points[draw(st.integers(0, len(S) - 1))]
+        x = a + u * 10 * TOL_EXACT * 10.0 ** draw(st.floats(0.0, 5.0))
+    assume(np.linalg.norm(x) <= R)
+    return S, B, F, x
+
+
+def _distance_to_crystal(L, F, x):
+    # the bases are near-orthonormal, so the nearest lattice point is one
+    # step at most from the rounded coordinates
+    steps = np.stack(np.meshgrid(*[[-1, 0, 1]] * L.dim, indexing="ij"),
+                     -1).reshape(-1, L.dim)
+    return min(float(np.linalg.norm(
+        x - f - (np.round(L.coords(x - f)) + steps) @ L.basis, axis=1).min())
+        for f in F)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_crystals_with_a_stray_point())
+@example((gen_ideal_crystal([[1.0, 0.0], [0.3, 1.1]],
+                            [[0.0, 0.0], [0.5, 0.55]], 30.0),
+          np.array([[1.0, 0.0], [0.3, 1.1]]),
+          np.array([[0.0, 0.0], [0.5, 0.55]]), np.array([17.523, 23.277])))
+def test_a_point_off_the_crystal_is_never_verified(case):
+    # inclusion out reads every window point, the rim included
+    S, B, F, x = case
+    L = build_lattice(B)
+    assume(_distance_to_crystal(L, F, x) >= 10 * TOL_EXACT)
+    T = WindowedSet(np.vstack([S.points, [x]]), S.radius)
+    dec = verify_decomposition(T, L, F)
+    assert not dec.verified
+    assert x.tolist() in dec.witnesses_out.tolist()
+    assert dec.checked_out == len(T)
 
 
 # -- recover_crystal ---------------------------------------------------------------
@@ -1143,6 +1192,17 @@ def test_recover_gate_reasons(S, strategy, stage, reason, n_periods):
     assert isinstance(out, NoCrystalEvidence)
     assert (out.stage, out.reason) == (stage, reason)
     assert out.diagnostics["n_periods"] == n_periods
+
+
+def test_recover_stages_a_point_off_the_crystal_near_the_rim():
+    # |x| = 29.1 of R = 30: past the core |a| <= R - sum |T_j| that
+    # inclusion out once stopped at, so the plane is no crystal
+    S = gen_ideal_crystal(PLANE_B, PLANE_F, 30.0)
+    x = [17.523, 23.277]
+    out = recover_crystal(WindowedSet(np.vstack([S.points, [x]]), 30.0))
+    assert isinstance(out, NoCrystalEvidence)
+    assert out.stage == "decomposition"
+    assert "coverage_out=0.999806" in out.reason
 
 
 def _spy_balls(monkeypatch) -> list:

@@ -34,6 +34,7 @@ from idealcrystal import (
     window_restrict,
 )
 from idealcrystal.pointset import (
+    _MAX_DEPTH,
     _SCAN_BLOCK,
     TOL_EQ,
     _canonical_order,
@@ -253,9 +254,19 @@ def test_in_canonical_order_matches_lexsort():
 
 
 def test_nonfinite_radius_rejected():
-    for r in (np.nan, np.inf):
+    for r in (np.nan, np.inf, -10**400):
         with pytest.raises(ConfigError, match="radius must be finite"):
             WindowedSet([[1.0]], r)
+
+
+def test_window_checks_label_and_radius_types():
+    with pytest.raises(ConfigError, match="label must be a string"):
+        WindowedSet([[1.0]], label=None)
+    for radius in ("5", True, np.bool_(True), [5.0]):
+        with pytest.raises(ConfigError, match="radius must be a real number"):
+            WindowedSet([[1.0]], radius=radius)
+    for radius in (5, 5.0, np.float64(5.0), np.int32(5), 10**20):
+        assert WindowedSet([[1.0]], radius=radius).radius == float(radius)
 
 
 def test_equals_is_exact():
@@ -494,10 +505,18 @@ def test_json_rendering_matches_per_coordinate_reference():
         '{"dim": true, "points": [[1.0]]}',
         '{"dim": 0, "points": [[1.0]]}',
         '{"dim": 2.0, "points": [[1.0, 2.0]]}',
+        '{"dim": %d, "points": [[1.0]]}' % 2**64,
+        '{"radius": "5", "points": [[1.0]]}',
+        '{"radius": true, "points": [[1.0]]}',
+        '{"radius": %d, "points": [[1.0]]}' % 10**400,
+        '{"label": null, "points": [[1.0]]}',
+        '{"label": ["x"], "points": [[1.0]]}',
     ],
     ids=["radius-string", "radius-list", "400-digit-int", "4400-digit-int",
          "deep-nesting", "radius-nan", "radius-infinity", "dim-string",
-         "dim-bool", "dim-zero", "dim-float"],
+         "dim-bool", "dim-zero", "dim-float", "dim-2^64",
+         "radius-numeric-string", "radius-bool", "radius-past-float",
+         "label-null", "label-list"],
 )
 def test_json_bad_input_is_parse_error(text):
     with pytest.raises(ParseError):
@@ -507,14 +526,25 @@ def test_json_bad_input_is_parse_error(text):
 # -- the JSON reader against the standard library's reading -----------------
 
 
+_TOO_DEEP = f"JSON nested deeper than {_MAX_DEPTH} levels"
+
+
 def _stdlib_outcome(text):
-    """The window json.loads and _json_rows make of a document, or the
-    (type, message) of the error, as load_points reports them."""
+    """The window json.loads and _json_rows make of a document under the
+    file format's rules, or the (type, message) of the error, as
+    load_points reports them."""
     try:
         try:
-            obj = json.loads(text)
-        except (ValueError, RecursionError) as e:
+            # every value of an object counts, a repeated key's too
+            values = json.loads(
+                text, object_pairs_hook=lambda pairs: [v for _, v in pairs])
+        except RecursionError:  # deeper than the stack, so past the limit
+            raise ParseError(_TOO_DEEP)
+        except ValueError as e:
             raise ParseError(f"invalid JSON: {e}")
+        if _depth_of(values) > _MAX_DEPTH:
+            raise ParseError(_TOO_DEEP)
+        obj = json.loads(text)
         if not isinstance(obj, dict) or "points" not in obj:
             raise ParseError(
                 "JSON point set must be an object with a 'points' key")
@@ -523,17 +553,12 @@ def _stdlib_outcome(text):
             raise ParseError("'points' must be a list of coordinate rows")
         dim = obj.get("dim")
         if dim is not None and (
-            isinstance(dim, bool) or not isinstance(dim, int) or dim < 1
+            isinstance(dim, bool) or not isinstance(dim, int)
+            or not 1 <= dim < 2**63
         ):
-            raise ParseError("'dim' must be a positive integer")
+            raise ParseError("'dim' must be an integer from 1 to 2**63 - 1")
         pts = _json_rows(raw, dim)
-        radius = obj.get("radius")
-        if radius is not None:
-            try:
-                radius = float(radius)
-            except (TypeError, ValueError, OverflowError):
-                raise ParseError("'radius' must be a number")
-        return WindowedSet(pts, radius, str(obj.get("label", "")))
+        return WindowedSet(pts, obj.get("radius"), obj.get("label", ""))
     except ConfigError as e:
         return ParseError, str(e)
     except IdealCrystalError as e:
@@ -617,7 +642,7 @@ def _nested(depth, brackets):
     return opening * depth + "1" + closing * depth
 
 
-_deep = st.builds(_nested, st.sampled_from([1, 32, 33, 1100, 100_000]),
+_deep = st.builds(_nested, st.sampled_from([1, 30, 31, 32, 1100, 100_000]),
                   st.sampled_from([("[", "]"), ('{"a": ', "}")]))
 _value = st.one_of(_scalar, _deep, _label)
 
@@ -658,6 +683,9 @@ def _json_documents(draw):
 @example('{"points": [[1.0]], "x": %s}' % _nested(100_000, ('{"a": ', "}")))
 @example('{"points": [[1.0]], "label": "\\ud800"}')
 @example('{"points": [[NaN]], "radius": Infinity}')
+@example('{"points": [[1.0]], "label": null, "radius": %d}' % 10**400)
+@example('{"x": %s, "x": 1, "points": [[1.0]]}' % _nested(32, ("[", "]")))
+@example('{"points": [[1.0]], "x": %s}' % _nested(31, ('{"a": ', "}")))
 def test_json_reader_matches_the_standard_library(text):
     # the same window bit for bit, or the same error type and message
     _assert_same_outcome(text)
@@ -669,7 +697,7 @@ def test_json_deep_nesting_is_refused_not_crashed(brackets):
     # orjson converts by unbounded recursion: 3e5 levels overflow the C
     # stack, so such a document must never reach it
     text = '{"points": [[1.0]], "x": %s}' % _nested(300_000, brackets)
-    with pytest.raises(ParseError, match="recursion"):
+    with pytest.raises(ParseError, match=f"^{_TOO_DEEP}$"):
         load_points(text, "json")
 
 
@@ -682,11 +710,13 @@ def test_json_invalid_deep_document_is_refused_not_crashed():
 
 
 def _depth_of(value):
-    if isinstance(value, dict):
-        value = list(value.values())
-    elif not isinstance(value, list):
-        return 0
-    return 1 + max(map(_depth_of, value), default=0)
+    # level by level, so no nesting the parser took can exhaust the stack
+    depth, level = 0, [value]
+    while level := [x for x in level if isinstance(x, (list, dict))]:
+        depth += 1
+        level = [v for x in level
+                 for v in (x.values() if isinstance(x, dict) else x)]
+    return depth
 
 
 _tricky_text = st.text(alphabet='[]{}"\\a\n\u00e9', max_size=6)
@@ -722,6 +752,23 @@ def test_json_lone_surrogate_label_roundtrips():
     T = load_points(serialize(S, "json"), "json")
     assert S.equals(T)
     assert T.label == "\ud800"
+
+
+@settings(max_examples=5, deadline=None, database=None)
+@given(st.sampled_from([_MAX_DEPTH - 1, 40]))
+@example(_MAX_DEPTH - 1)
+@example(40)
+def test_json_nesting_limit_does_not_depend_on_the_stack(depth):
+    # hypothesis raises the recursion limit while a test runs, under which
+    # json.loads reads nesting a plain process refuses; the limit is the
+    # file format's, so both see the same outcome (tests/test_cli.py runs
+    # these documents through a fresh process)
+    text = '{"points": [[1.0]], "generator": %s}' % _nested(depth, ("[", "]"))
+    if depth < _MAX_DEPTH:  # the document is _MAX_DEPTH deep
+        assert load_points(text, "json").equals(WindowedSet([[1.0]]))
+    else:
+        with pytest.raises(ParseError, match=f"^{_TOO_DEEP}$"):
+            load_points(text, "json")
 
 
 def test_unknown_format():
