@@ -59,6 +59,10 @@ COORD_TOL = 1e-6
 #: translates by every candidate.
 _PROBES = 32
 
+#: Largest denominator of the rational lattice coordinates refine_lattice
+#: gives a period outside the current lattice.
+_MAX_DENOMINATOR = 64
+
 #: Minimal sine of the angle between a new greedy basis vector and the
 #: span of the ones already chosen.
 _ANGLE_FLOOR = 0.02
@@ -72,9 +76,9 @@ _LOCAL_POINTS = 256
 #: once, per residue. It bounds the check's working set past its O(n)
 #: `best` and hit arrays to a few block-sized temporaries (about 0.4 MB
 #: each in p = 3), which stay in cache. On the 296k-point p = 3 seed-79
-#: crystal (2-core x86 machine, 2 MiB L2 per core, numpy 2.4), 2^12 to
-#: 2^14 timed fastest at 25-28 ms per check; 2^16 took 42 ms and one block
-#: of the whole window 65 ms.
+#: crystal (2-core x86 machine, 2 MiB L2 per core, numpy 2.4; best of 7,
+#: three runs), 2^13 to 2^15 timed fastest at 27-31 ms per check; 2^12
+#: and 2^16 took 29-34 ms and one block of the whole window 50-60 ms.
 _ROW_BLOCK = 1 << 14
 
 
@@ -224,21 +228,20 @@ def _hnf_rows(rows: list[list[int]], p: int) -> list[list[int]]:
     return basis
 
 
-def refine_lattice(L: Lattice, periods, max_denominator: int = 64) -> Lattice:
+def refine_lattice(L: Lattice, periods) -> Lattice:
     """Close L over the given verified periods.
 
     Periods outside the current lattice get rational lattice coordinates
-    via continued fractions; the integer row span of everything (over the
-    common denominator) is re-reduced to a basis. Against a coarse basis a
-    genuine period can need a denominator past the cap, yet fit once other
-    periods have densified the lattice: such periods are retried against
-    each merged lattice until a round merges none. Those left are dropped,
-    with one warning per call that names the first of them, counts the
-    rest and gives the largest residual: at these window scales an
-    incommensurate "period" is noise, not structure.
+    via continued fractions, with denominators at most _MAX_DENOMINATOR;
+    the integer row span of everything (over the common denominator) is
+    re-reduced to a basis. Against a coarse basis a genuine period can need
+    a denominator past the cap, yet fit once other periods have densified
+    the lattice: such periods are retried against each merged lattice until
+    a round merges none. Those left are dropped, with one warning per call
+    that names the first of them, counts the rest and gives the largest
+    residual: at these window scales an incommensurate "period" is noise,
+    not structure.
     """
-    if max_denominator < 1:
-        raise ConfigError("max_denominator must be at least 1")
     p = L.dim
     pending: list[np.ndarray] = []
     for item in periods:
@@ -252,7 +255,7 @@ def refine_lattice(L: Lattice, periods, max_denominator: int = 64) -> Lattice:
             if bool(L.contains(T)):
                 continue
             coords = L.coords(T)
-            fracs = [Fraction(float(c)).limit_denominator(max_denominator)
+            fracs = [Fraction(float(c)).limit_denominator(_MAX_DENOMINATOR)
                      for c in coords]
             err = max(abs(float(f) - float(c)) for f, c in zip(fracs, coords))
             if err > L.coord_tol:
@@ -280,7 +283,7 @@ def refine_lattice(L: Lattice, periods, max_denominator: int = 64) -> Lattice:
         log.warning(
             "dropping periods with no rational coordinates of denominator "
             "<= %d: %d refused (first %s, largest residual %.3e)",
-            max_denominator, len(deferred), deferred[0][0].tolist(),
+            _MAX_DENOMINATOR, len(deferred), deferred[0][0].tolist(),
             max(err for _, err in deferred),
         )
     return L
@@ -388,7 +391,12 @@ def residues(S: WindowedSet, L: Lattice) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CrystalDecomposition:
-    """Verified (or failed) decomposition A = L + F on the window."""
+    """Verified (or failed) decomposition A = L + F on the window.
+
+    max_residual is the largest residual |a - (t + f)| over the window
+    points a covered by L + F, with t = round((a - f) B^-1) B and f the
+    residue nearest a; a point that hits a target is covered.
+    """
 
     lattice: Lattice
     residues: np.ndarray
@@ -473,21 +481,23 @@ def verify_decomposition(S: WindowedSet, L: Lattice, F,
 
     Both run in integer lattice coordinates, with no neighbour queries.
     Per residue f every window point a is mapped once to n = round((a-f)
-    B^-1) and t = n B; inclusion out reads |a - f - t| on every row. The
-    mapping runs over blocks of _ROW_BLOCK rows, so past the O(n) `best`
-    and hit arrays the working set is one block's temporaries, and keys are
-    packed for the hit rows only; each row's arithmetic does not depend on
-    the block it is in. A point within tol_exact of a target has n equal to
-    the target's coordinates while tol_exact * max_i |B^-1[:, i]| < 1/2,
-    and n B is the product the target enumeration (_lattice_points) forms,
-    bit for bit. So a point with |t + f| <= R - tol_exact and |a - (t + f)|
-    <= tol_exact hits the target keyed by (n_1, f, n_2, ..., n_p) in one
-    int64. Inclusion in compares the distinct keys hit, each with its
-    nearest point's residual, with the number of targets, which
-    _count_targets counts from the interval solve _lattice_points shares.
-    Only when a target is missed is the ball enumerated (_lattice_points),
-    and the missed targets sorted by key once, to list the first ten. A
-    larger tolerance, or a key range past int64, raises ConfigError.
+    B^-1) and t = n B, and its one residual d = |a - (t + f)| serves both
+    inclusions. A point is covered when its smallest d over the residues is
+    at most tol_exact; max_residual is the largest such d. The mapping runs
+    over blocks of _ROW_BLOCK rows, so past the O(n) `best` array the
+    working set is one block's temporaries, and keys are packed for the hit
+    rows only; each row's arithmetic does not depend on the block it is in.
+    A point within tol_exact of a target has n equal to the target's
+    coordinates while tol_exact * max_i |B^-1[:, i]| < 1/2, and n B is the
+    product the target enumeration (_lattice_points) forms, bit for bit.
+    So a point with |t + f| <= R - tol_exact and d <= tol_exact hits the
+    target keyed by (n_1, f, n_2, ..., n_p) in one int64, and is covered.
+    Inclusion in compares the distinct keys hit with the number of targets,
+    which _count_targets counts from the interval solve _lattice_points
+    shares. Only when a target is missed is the ball enumerated
+    (_lattice_points), and the missed targets sorted by key once, to list
+    the first ten. A larger tolerance, or a key range past int64, raises
+    ConfigError.
     """
     F = np.asarray(F, dtype=np.float64).reshape(-1, S.dim)
     tol_exact = float(tol_exact)
@@ -525,7 +535,7 @@ def verify_decomposition(S: WindowedSet, L: Lattice, F,
 
     pts = S.points
     best = np.full(len(pts), np.inf)
-    hit_keys, hit_d = [], []
+    hit_keys = [np.zeros(0, dtype=np.int64)]
     checked_in = 0
     for fi, f in enumerate(F):
         # f on every row of a block: numpy loops over a same-shape operand
@@ -537,34 +547,17 @@ def verify_decomposition(S: WindowedSet, L: Lattice, F,
             x = blk - fb
             c = np.round(x @ L.inv)
             q = c @ L.basis
-            x -= q
-            near = best[lo:lo + _ROW_BLOCK]
-            np.minimum(near, _row_norms(x), out=near)
             q += fb
             d = _row_norms(np.subtract(blk, q, out=x))
+            near = best[lo:lo + _ROW_BLOCK]
+            np.minimum(near, d, out=near)
             hit = np.flatnonzero((d <= tol_exact) & (_row_norms(q) <= lim))
             hit_keys.append(pack(fi, c.take(hit, axis=0)))
-            hit_d.append(d[hit])
         checked_in += _count_targets(L.basis, L.inv, enum_r, f, lim)
 
-    found_in = 0
-    max_residual = 0.0
+    seen = np.sort(np.concatenate(hit_keys))
+    found_in = len(seen) - int((seen[1:] == seen[:-1]).sum())
     wit_in = np.zeros((0, S.dim))
-    if hit_keys:
-        keys = np.concatenate(hit_keys)
-        d = np.concatenate(hit_d)
-        seen = np.sort(keys)
-        shared = seen[1:] == seen[:-1]
-        found_in = len(seen) - int(shared.sum())
-        if shared.any():
-            # points hitting one target share its residual, the nearest's
-            many = np.isin(keys, seen[1:][shared])
-            _, group = np.unique(keys[many], return_inverse=True)
-            nearest = np.full(group.max() + 1, np.inf)
-            np.minimum.at(nearest, group, d[many])
-            d = np.concatenate([d[~many], nearest])
-        if len(d):
-            max_residual = float(d.max())
     if found_in < checked_in:
         n, t = _lattice_points(L.basis, L.inv, enum_r)
         targets, tkeys = [], []
@@ -580,8 +573,7 @@ def verify_decomposition(S: WindowedSet, L: Lattice, F,
 
     ok = best <= tol_exact
     checked_out, found_out = len(pts), int(ok.sum())
-    max_residual = max(max_residual,
-                       float(np.max(best, where=ok, initial=0.0)))
+    max_residual = float(np.max(best, where=ok, initial=0.0))
     wit_out = pts[np.flatnonzero(~ok)[:10]]
 
     coverage_in = found_in / checked_in if checked_in else 1.0

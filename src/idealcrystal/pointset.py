@@ -417,8 +417,11 @@ def _json_rows(raw: list, dim: int | None) -> np.ndarray:
 
 
 def serialize(S: WindowedSet, format: str = "csv", metadata: dict | None = None) -> str:
-    """Render a point set back to text. ``load_points(serialize(S)) == S``
-    (for CSV up to the inferred radius; JSON round-trips exactly).
+    """Render a point set back to text. ``load_points(serialize(S, "json"),
+    "json")`` returns the points, radius and label of S exactly. CSV keeps
+    the points only: the reader skips ``#`` comments, so the label written
+    as ``# label:`` loads as ``""``, and the radius loads as the inferred
+    ``max |a|``.
 
     ``metadata`` is an optional JSON-serializable record stored under the
     ``"generator"`` key (JSON) or echoed as ``#`` comments (CSV).

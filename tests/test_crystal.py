@@ -246,7 +246,7 @@ def test_refine_det_divides(caplog):
         coeff = rng.integers(-3, 4, size=p) / k
         if not np.any(coeff):
             continue
-        R = refine_lattice(L, [coeff @ B], max_denominator=8)
+        R = refine_lattice(L, [coeff @ B])
         ratio = L.det / R.det
         assert ratio >= 1.0 - 1e-9, seed
         assert abs(ratio - round(ratio)) < 1e-6, seed
@@ -256,7 +256,7 @@ def test_refine_det_divides(caplog):
 def test_refine_drops_incommensurate(caplog):
     L = build_lattice([[1.0]])
     with caplog.at_level("WARNING"):
-        R = refine_lattice(L, [np.array([np.sqrt(2.0)])], max_denominator=16)
+        R = refine_lattice(L, [np.array([np.sqrt(2.0)])])
     assert R is L
     assert any("dropping period" in m for m in caplog.messages)
 
@@ -266,15 +266,15 @@ def test_refine_warns_once_per_call(caplog):
     periods = [np.array([np.sqrt(2.0)]), np.array([np.sqrt(3.0)]),
                np.array([np.pi])]
     with caplog.at_level("WARNING", logger="idealcrystal.crystal"):
-        R = refine_lattice(L, periods, max_denominator=16)
+        R = refine_lattice(L, periods)
     assert R is L
     records = [r for r in caplog.records if r.name == "idealcrystal.crystal"]
     assert len(records) == 1
     msg = records[0].getMessage()
-    worst = max(abs(float(Fraction(float(x)).limit_denominator(16)) - float(x))
+    worst = max(abs(float(Fraction(float(x)).limit_denominator(64)) - float(x))
                 for x in (np.sqrt(2.0), np.sqrt(3.0), np.pi))
     assert msg == (
-        "dropping periods with no rational coordinates of denominator <= 16: "
+        "dropping periods with no rational coordinates of denominator <= 64: "
         f"3 refused (first [1.4142135623730951], largest residual {worst:.3e})"
     )
 
@@ -291,12 +291,6 @@ def test_refine_retries_deferred_periods_against_the_merged_lattice(caplog):
     with caplog.at_level("WARNING", logger="idealcrystal.crystal"):
         assert refine_lattice(L, [np.array([1.0])]) is L
     assert any("dropping period" in m for m in caplog.messages)
-
-
-def test_refine_validation():
-    L = build_lattice([[1.0]])
-    with pytest.raises(ConfigError):
-        refine_lattice(L, [], max_denominator=0)
 
 
 # -- residues -------------------------------------------------------------------
@@ -605,43 +599,44 @@ def test_row_norms_match_numpy_bit_for_bit(p):
                 == np.linalg.norm(rows, axis=1).tobytes())
 
 
-# reference: the KD-tree form of verify_decomposition, one nearest-neighbour
-# query per box-scan slab and residue
+# reference: the KD-tree form of verify_decomposition. Both inclusions are
+# nearest-neighbour queries, so neither depends on how the implementation
+# rounds to lattice coordinates: inclusion in queries each box-scan slab's
+# targets against the window, inclusion out the window against the
+# enumerated L + F
 
 
 def _reference_verify_decomposition(S, L, F, tol_exact=TOL_EXACT):
     F = np.asarray(F, dtype=np.float64).reshape(-1, S.dim)
     R = S.radius
     max_f = float(np.linalg.norm(F, axis=1).max()) if len(F) else 0.0
+    within = tol_exact * (1 + 1e-9)
     tree = S.tree()
     checked_in = found_in = 0
-    max_residual = 0.0
-    wit_in = []
+    wit_in, crystal = [], []
     if len(F):
         for _, chunk in _box_lattice_points(L.basis, L.inv,
                                             R + max_f + 1.0):
             for f in F:
                 pts = chunk + f
+                crystal.append(pts)
                 keep = np.linalg.norm(pts, axis=1) <= R - tol_exact
                 if not keep.any():
                     continue
                 pts = pts[keep]
-                d, _ = tree.query(pts, k=1,
-                                  distance_upper_bound=tol_exact * (1 + 1e-9))
+                d, _ = tree.query(pts, k=1, distance_upper_bound=within)
                 ok = d <= tol_exact
                 checked_in += len(pts)
                 found_in += int(ok.sum())
-                if ok.any():
-                    max_residual = max(max_residual, float(d[ok].max()))
                 for bad in pts[~ok][: max(0, 10 - len(wit_in))]:
                     wit_in.append(bad)
     best = np.full(len(S), np.inf)
-    for f in F:
-        best = np.minimum(best, L.distance(S.points - f))
+    if crystal:
+        best, _ = cKDTree(np.concatenate(crystal)).query(
+            S.points, k=1, distance_upper_bound=within)
     ok = best <= tol_exact
     found_out = int(ok.sum())
-    if ok.any():
-        max_residual = max(max_residual, float(best[ok].max()))
+    max_residual = float(best[ok].max()) if ok.any() else 0.0
     wit_out = list(S.points[~ok][:10])
     return dict(
         coverage_in=found_in / checked_in if checked_in else 1.0,
@@ -797,6 +792,28 @@ def test_verify_parity_cases_cover_every_outcome():
     assert seen["p2-rim"].witnesses_in.tolist() == [rim_t.tolist()]
 
 
+@pytest.mark.parametrize("B, F, R", [
+    ([[2.0]], [[0.0], [0.5], [1.3]], 40.0),
+    ([[1.37]], [[0.0], [0.4247], [1.0549]], 400.0),
+    ([[1.0, 0.0], [0.3, 1.1]], [[0.0, 0.0], [0.5, 0.55]], 12.0),
+    (_rotated(2, 3), [[0.1, 0.2], [0.4, -0.3], [-0.2, 0.45]], 20.0),
+    ([[1.0, 0.1, 0.0], [0.2, 1.3, 0.0], [0.1, 0.4, 0.9]],
+     [[0.0, 0.0, 0.0], [0.5, 0.45, 0.4]], 5.0),
+    (_rotated(3, 5), [[0.0, 0.0, 0.0], [0.5, 0.1, 0.2], [0.1, 0.5, -0.3]],
+     8.0),
+    # past one row block
+    (_rotated(3, 4), [[0.3, -0.2, 0.1], [-0.4, 0.35, 0.5]], 20.0),
+], ids=["p1-3res", "p1-3res-long", "plane-2res", "p2-3res", "p3-2res",
+        "p3-3res", "p3-2res-blocks"])
+def test_verify_generated_crystal_has_zero_residual(B, F, R):
+    # each window point is t + f as the generator forms it, and the check
+    # forms the same t + f from the rounded coordinates, bit for bit
+    S = gen_ideal_crystal(B, F, R)
+    dec = verify_decomposition(S, build_lattice(B), F)
+    assert dec.verified
+    assert dec.max_residual == 0.0
+
+
 def test_verified_crystal_enumerates_no_targets(monkeypatch):
     # targets are counted; they are listed only to name a missed one
     plane = gen_ideal_crystal([[1.0, 0.0], [0.3, 1.1]],
@@ -855,16 +872,15 @@ def test_enumeration_keeps_a_point_rounded_onto_the_sphere():
     # the ulp at R is 2^-21: s - g = R + 2^-22 rounds to R (a tie, to
     # even), and so does R + g, to s - 2^-21. Without its few ulps of
     # slack the enumeration radius R + max |f| would drop the lattice
-    # point s. Both targets are hit; the point R itself lies 2^-22 from
-    # s - g, past tol_exact, and inclusion out reports it
+    # point s. Both targets are hit, and the point R is the target s - g
+    # as floats form it, so the residual that hits it covers it too
     R = 2.0 ** 31
     s, g = R + 0.5 + 2.0 ** -21, 0.5 + 2.0 ** -22
     S = gen_ideal_crystal([[s]], [[-g]], R)
     assert S.points.ravel().tolist() == [-g, R]
     dec = verify_decomposition(S, build_lattice([[s]]), [[-g]])
     assert dec.checked_in == 2 and dec.coverage_in == 1.0
-    assert not dec.verified
-    assert dec.witnesses_out.tolist() == [[R]]
+    assert dec.verified and dec.max_residual == 0.0
 
 
 def test_verify_does_not_depend_on_the_row_blocks(monkeypatch):
@@ -1483,7 +1499,7 @@ def _greedy_closure(periods, p):
     seed = crystal_mod._greedy_basis(periods, p)
     if seed is None:
         return None
-    return refine_lattice(build_lattice(seed), periods, 64)
+    return refine_lattice(build_lattice(seed), periods)
 
 
 @_CRYSTALS
@@ -1517,7 +1533,7 @@ def test_each_verified_period_was_outside_the_running_lattice(B, F, R,
             L = _greedy_closure(dec.periods[:k + 1], p)
         else:
             assert fills or L.distance(P.T) >= dec.epsilon / 2, k
-            L = refine_lattice(L, [P], 64)
+            L = refine_lattice(L, [P])
         missing -= fills
     assert not missing
     assert np.array_equal(L.basis, dec.lattice.basis)
