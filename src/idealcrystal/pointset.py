@@ -26,20 +26,25 @@ JSON point lists are converted column-wise: one numpy conversion takes a
 well-formed list, and only a list it cannot take is scanned row by row,
 to name the first bad row.
 
-Parsing (both formats) and JSON rendering run with Python's cyclic
-garbage collector paused (``_util.gc_paused``). The containers they
-build, a list of floats per row and the list and JSON object that hold
-them, cannot form a reference cycle, so each collection their
-allocations would set off scans the whole heap and frees nothing.
+Both formats are written from one rendering of the rows (``_rows_json``):
+orjson formats the float64 array directly, with no Python float per
+coordinate, in the shortest round-trip digits that ``repr`` writes. It
+writes another notation only for a coordinate with 0 < |x| < 1e-4 or
+|x| >= 1e16 (``0.00001`` and ``1e16`` for ``repr``'s ``1e-05`` and
+``1e+16``), so the rows holding one go through ``json.dumps`` instead,
+and the text is the one a per-coordinate ``repr`` gives.
+
+Parsing (both formats) and the ``json.dumps`` rows of rendering run with
+Python's cyclic garbage collector paused (``_util.gc_paused``). The
+containers they build, a list of floats per row and the list and JSON
+object that hold them, cannot form a reference cycle, so each collection
+their allocations would set off scans the whole heap and frees nothing.
 Reference counting still frees the lists, and the collector's previous
 state, enabled or disabled, is restored on return and on every error.
-CSV rendering frees each row's objects before the next row, so it sets
-off no collection and runs unpaused.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import numbers
@@ -268,7 +273,8 @@ def load_points(source, format: str = "csv") -> WindowedSet:
     """Parse a point-set file.
 
     CSV: one point per line, comma-separated decimals, ``#`` comments.
-    The window radius is inferred as ``max |a|`` (CSV carries no metadata).
+    A ``# label: "..."`` comment before the first row whose rest is one
+    JSON string sets the label; the window radius is inferred as ``max |a|``.
     JSON: object ``{"dim", "radius", "label", "points"}``; extra keys are
     ignored so generator metadata can ride along.
     """
@@ -282,11 +288,21 @@ def load_points(source, format: str = "csv") -> WindowedSet:
         raise ParseError(str(e))
 
 
+#: The comment ``serialize`` writes the label in, followed by a JSON string.
+_CSV_LABEL = "# label: "
+
+
 def _load_csv(text: str) -> WindowedSet:
     rows = []
     arity = None
+    label = ""
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
+        if not rows and stripped.startswith(_CSV_LABEL + '"'):
+            try:
+                label = json.loads(stripped[len(_CSV_LABEL):])
+            except ValueError:  # not one JSON string: a plain comment
+                pass
         if not stripped or stripped.startswith("#"):
             continue
         fields = stripped.split(",")
@@ -305,7 +321,7 @@ def _load_csv(text: str) -> WindowedSet:
         rows.append(row)
     if not rows:
         raise ParseError("no data rows found")
-    return WindowedSet(np.array(rows, dtype=np.float64))
+    return WindowedSet(np.array(rows, dtype=np.float64), label=label)
 
 
 #: The deepest nesting a JSON point file may have. orjson 3.8 converts a
@@ -416,41 +432,81 @@ def _json_rows(raw: list, dim: int | None) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
+#: orjson and ``repr`` write the same shortest round-trip digits, but for
+#: a coordinate with 0 < |x| < 1e-4 or |x| >= 1e16 in different notation:
+#: orjson writes ``0.00001`` and ``1e16`` where ``repr`` writes ``1e-05``
+#: and ``1e+16``.
+_REPR_BELOW, _REPR_FROM = 1e-4, 1e16
+
+
+def _rows_json(pts: np.ndarray, sep: str) -> str:
+    """The rows of ``pts`` as JSON with ``sep`` between items,
+    ``[[x<sep>y]<sep>[x<sep>y]]``, each coordinate written as ``repr``
+    writes it.
+
+    orjson renders the array directly (it takes C-contiguous float64
+    rows, as ``WindowedSet`` keeps them). Each run of rows holding a
+    coordinate it would write in another notation than ``repr`` is
+    rendered by ``json.dumps`` instead, from row lists built with the
+    collector paused.
+    """
+    def by_orjson(block):
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+        return text.decode().replace(",", sep)
+
+    a = np.abs(pts)
+    odd = (((a < _REPR_BELOW) & (a != 0)) | (a >= _REPR_FROM)).any(axis=1)
+    if not odd.any():  # the empty window too
+        return by_orjson(pts)
+    cuts = [0, *(np.flatnonzero(odd[1:] != odd[:-1]) + 1), len(pts)]
+    runs = []
+    with gc_paused():
+        for start, stop in zip(cuts[:-1], cuts[1:]):
+            block = pts[start:stop]
+            if odd[start]:
+                runs.append(json.dumps(block.tolist(), separators=(sep, ":")))
+            else:
+                runs.append(by_orjson(block))
+    return "[" + sep.join(run[1:-1] for run in runs) + "]"
+
+
 def serialize(S: WindowedSet, format: str = "csv", metadata: dict | None = None) -> str:
     """Render a point set back to text. ``load_points(serialize(S, "json"),
     "json")`` returns the points, radius and label of S exactly. CSV keeps
-    the points only: the reader skips ``#`` comments, so the label written
-    as ``# label:`` loads as ``""``, and the radius loads as the inferred
-    ``max |a|``.
+    the points and the label: the label is written as a ``# label:``
+    comment holding a JSON string, which the reader takes back; the radius
+    loads as the inferred ``max |a|``.
 
     ``metadata`` is an optional JSON-serializable record stored under the
     ``"generator"`` key (JSON) or echoed as ``#`` comments (CSV).
+
+    Every coordinate is written in ``repr``'s shortest round-trip digits,
+    the text ``json.dumps`` gives for a list of floats. The rows come from
+    one orjson pass over the array (``_rows_json``); only the rows holding
+    a coordinate with 0 < |x| < 1e-4 or |x| >= 1e16, which orjson writes
+    in another notation, go through ``json.dumps``. The header and the
+    ``generator`` record are ``json.dumps`` text: orjson refuses labels
+    with lone surrogates and renders some metadata (non-string keys,
+    integers past 64 bits, NaN) differently.
     """
+    if format not in ("csv", "json"):
+        raise ConfigError(f"unknown format {format!r} (expected 'csv' or 'json')")
+    rows = _rows_json(S.points, "," if format == "csv" else ", ")
     if format == "csv":
-        out = io.StringIO()
+        head = ""
         if S.label:
             # escaped, so no line break in the label can start a data row
-            out.write(f"# label: {json.dumps(S.label)}\n")
+            head += f"{_CSV_LABEL}{json.dumps(S.label)}\n"
         if metadata:
-            out.write(f"# generator: {json.dumps(metadata, sort_keys=True)}\n")
-        for row in S.points:
-            out.write(",".join(repr(float(c)) for c in row))
-            out.write("\n")
-        return out.getvalue()
-    if format == "json":
-        with gc_paused():
-            obj = {
-                "dim": S.dim,
-                "radius": S.radius,
-                "label": S.label,
-                "points": S.points.tolist(),
-            }
-            if metadata:
-                obj["generator"] = metadata
-            text = json.dumps(obj) + "\n"
-            del obj  # the row lists go before the collector resumes
-        return text
-    raise ConfigError(f"unknown format {format!r} (expected 'csv' or 'json')")
+            head += f"# generator: {json.dumps(metadata, sort_keys=True)}\n"
+        if len(S.points) == 0:
+            return head
+        body = rows.replace("],[", "\n")
+        return f"{head}{body[2:-2]}\n"
+    # the header object less its closing brace, then the rows and the record
+    head = json.dumps({"dim": S.dim, "radius": S.radius, "label": S.label})
+    record = f', "generator": {json.dumps(metadata)}' if metadata else ""
+    return f'{head[:-1]}, "points": {rows}{record}}}\n'
 
 
 # -- elementary operations --------------------------------------------------

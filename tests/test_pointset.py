@@ -324,6 +324,22 @@ def test_csv_label_with_a_line_break_stays_a_comment(brk):
     assert text.splitlines()[0] == "# label: " + json.dumps(S.label)
     T = load_points(text, "csv")
     assert T.points.tolist() == S.points.tolist()
+    assert T.label == S.label
+
+
+@pytest.mark.parametrize("text, label", [
+    ('# label: "demo"\n0.0,0.0\n0.5,0.25\n', "demo"),
+    ('# x\n  # label: "a\\u2028b\\ud800"\n0.0\n', "a\u2028b\ud800"),
+    ('# label: "a"\n# label: "b"\n0.0\n', "b"),
+    ('0.0\n# label: "late"\n1.0\n', ""),
+    ("# label: demo\n0.0\n", ""),
+    ('# label: "a" "b"\n0.0\n', ""),
+    ('# label: "unclosed\n0.0\n', ""),
+    ('# label:"tight"\n0.0\n', ""),
+], ids=["written", "escaped", "last-wins", "after-a-row", "not-json",
+        "two-strings", "unclosed", "no-space"])
+def test_csv_label_comment_before_the_first_row_sets_the_label(text, label):
+    assert load_points(text, "csv").label == label
 
 
 @pytest.mark.parametrize("fmt, text", [
@@ -467,17 +483,35 @@ def test_json_shuffled_window_loads_sorted():
     assert T.equals(load_points(serialize(S, "json"), "json"))
 
 
-def test_json_rendering_matches_per_coordinate_reference():
-    # the per-coordinate rendering the columnar one replaced: the bytes
-    # that `generate` writes and the benchmark parses must not move
-    def reference(S):
-        return json.dumps({
+def _reference_text(S, fmt, metadata=None):
+    """The per-coordinate rendering the array one replaced: ``repr`` of
+    every coordinate, through ``json.dumps`` or joined by commas."""
+    if fmt == "json":
+        obj = {
             "dim": S.dim,
             "radius": S.radius,
             "label": S.label,
             "points": [[float(c) for c in row] for row in S.points],
-        }) + "\n"
+        }
+        if metadata:
+            obj["generator"] = metadata
+        return json.dumps(obj) + "\n"
+    out = ""
+    if S.label:
+        out += f"# label: {json.dumps(S.label)}\n"
+    if metadata:
+        out += f"# generator: {json.dumps(metadata, sort_keys=True)}\n"
+    for row in S.points:
+        out += ",".join(repr(float(c)) for c in row) + "\n"
+    return out
 
+
+_METADATA = {"kind": "crystal", "seed": 3, "basis": [[1.0, 0.0], [0.3, 1.1]],
+             "eps": 1e-20, "big": 2**70, "1": "\u2028"}
+
+
+def test_json_rendering_matches_per_coordinate_reference():
+    # the bytes that `generate` writes and the benchmark parses must not move
     # 1e150 is the large-magnitude case
     rng = np.random.default_rng(11)
     pts = np.concatenate([
@@ -485,10 +519,77 @@ def test_json_rendering_matches_per_coordinate_reference():
          [0.1 + 0.2, 1 / 3], [np.nextafter(1.0, 2.0), -1.2345678901234567]],
         rng.normal(size=(40, 2)) * 10.0,
     ])
-    S = WindowedSet(pts, 2e150, label="reference")
-    text = serialize(S, "json")
-    assert "[-0.0, 5e-324]" in text
-    assert text == reference(S)
+    for label in ("reference", "\ud800"):
+        S = WindowedSet(pts, 2e150, label=label)
+        for metadata in (None, _METADATA):
+            text = serialize(S, "json", metadata)
+            assert "[-0.0, 5e-324]" in text
+            assert text == _reference_text(S, "json", metadata)
+            text = serialize(S, "csv", metadata)
+            assert "\n-0.0,5e-324\n" in text
+            assert text == _reference_text(S, "csv", metadata)
+
+
+#: Coordinates at the edges of the notations: both sides of 1e-4 and 1e16,
+#: where ``repr`` switches to exponent notation, and the extremes.
+_EDGE_VALUES = [0.0, -0.0, 5e-324, 1.7976931348623157e308,
+                -1.7976931348623157e308, 1e-5, 1e22, 1e-300]
+for _x in (1e-4, 1e16):
+    _EDGE_VALUES += [_x, np.nextafter(_x, 0.0), np.nextafter(_x, np.inf)]
+_EDGE_VALUES += [-x for x in _EDGE_VALUES]
+
+
+def _bits_to_float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# any finite double, one on a notation edge, or one in [1e-4, 1e16)
+_wild = st.one_of(
+    st.integers(0, 2**64 - 1).map(_bits_to_float).filter(np.isfinite),
+    st.sampled_from(_EDGE_VALUES),
+)
+_tame = st.one_of(
+    st.floats(1e-4, 1e16, exclude_max=True),
+    st.floats(-1e16, -1e-4, exclude_min=True),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+@st.composite
+def _bit_pattern_rows(draw):
+    """(p, rows): rows of a window in p = 1 to 4 dimensions; each row is
+    drawn wild (any double, the edges) or tame (fixed notation)."""
+    p = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.booleans(), max_size=60))
+    return p, [draw(st.lists(_wild if wild else _tame, min_size=p, max_size=p))
+               for wild in kinds]
+
+
+_huge, _tiny = 1.7976931348623157e308, np.nextafter(1e-4, 0.0)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_bit_pattern_rows(), st.sampled_from(["", "x", "\ud800"]),
+       st.sampled_from([None, _METADATA]))
+@example((2, []), "", None)
+@example((1, [[1e16], [1.0], [2.5], [1e-5]]), "x", None)
+@example((3, [[1.0, 2.0, 3.0], [5e-324, 0.0, -0.0], [_tiny, 1e4, 1.0],
+              [4.0, 5.0, 6.0]]), "x", _METADATA)
+@example((2, [[_huge, 0.0], [-_huge, 1e-5], [1e-300, 1e300]]), "", None)
+@example((4, [[1.5, 0.0, -0.0, 1e-4]] * 3 + [[0.0, 0.0, 0.0, _tiny]]
+          + [[2.5, 1e15, 9.0, 7.0]] * 2 + [[1e16, 1.0, 1.0, 1.0]]), "", None)
+def test_rendering_matches_repr_on_float64_bit_patterns(window, label, metadata):
+    # the window is built trusted, so the drawn row order (odd rows first,
+    # last, adjacent) is the one rendered and copies may repeat
+    p, rows = window
+    pts = np.array(rows, dtype=np.float64).reshape(-1, p)
+    # a row whose norm is past the float range has no finite radius; a
+    # quarter of it has
+    with np.errstate(over="ignore"):
+        pts[np.isinf(np.hypot.reduce(pts, axis=1))] /= 4
+    S = WindowedSet(pts, label=label, _trusted=True)
+    for fmt in ("json", "csv"):
+        assert serialize(S, fmt, metadata) == _reference_text(S, fmt, metadata)
 
 
 @pytest.mark.parametrize(
@@ -829,28 +930,31 @@ def test_serialize_restores_the_collector_state(gc_state, enabled, fmt):
 
 def test_window_io_runs_no_collection(gc_state):
     # with the collector running, the 22,500 row lists would set off dozens
-    # of collections, some of them full scans of every tracked object
+    # of collections, some of them full scans of every tracked object; at
+    # scale 0.5e-8 every row but the origin is written by the repr path
     g = np.arange(-75.0, 75.0)
-    S = WindowedSet(np.stack(np.meshgrid(g, g), -1).reshape(-1, 2) * 0.5)
-    assert len(S) >= 20_000
-    gc_state(True)
-    gc.collect()
-    starts = []
+    grid = np.stack(np.meshgrid(g, g), -1).reshape(-1, 2)
+    for scale in (0.5, 0.5e-8):
+        S = WindowedSet(grid * scale)
+        assert len(S) >= 20_000
+        gc_state(True)
+        gc.collect()
+        starts = []
 
-    def count(phase, info):
-        if phase == "start":
-            starts.append(info["generation"])
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
 
-    gc.callbacks.append(count)
-    try:
-        text = serialize(S, "json")
-        back = load_points(text, "json")
-        csv_back = load_points(serialize(S, "csv"), "csv")
-    finally:
-        gc.callbacks.remove(count)
-    assert starts == []
-    assert back.equals(S)
-    assert np.array_equal(csv_back.points, S.points)
+        gc.callbacks.append(count)
+        try:
+            text = serialize(S, "json")
+            back = load_points(text, "json")
+            csv_back = load_points(serialize(S, "csv"), "csv")
+        finally:
+            gc.callbacks.remove(count)
+        assert starts == [], scale
+        assert back.equals(S)
+        assert np.array_equal(csv_back.points, S.points)
 
 
 # -- restriction and metrics --------------------------------------------------
