@@ -12,7 +12,6 @@ from .almost_period import (
     FailureWitness,
     Period,
     Rejection,
-    brute_force_almost_period,
     candidate_almost_periods,
     is_almost_period,
     snap_to_period,

@@ -5,9 +5,13 @@ period of the window when the core (points that cannot be pushed past the
 window edge by tau) injects into the window with every displacement
 |a + tau - b| < epsilon. Candidates are the differences c - a from one
 anchor a, the window point nearest the origin (a period T with |T| <= r
-maps a onto a window point); an epsilon-almost period snaps to the unique
-nearby anchor difference, and the snapped vector is accepted only if it
+maps a onto a window point). snap_to_period replaces an epsilon-almost
+period by the unique nearby anchor difference and accepts it only if it
 translates the whole core exactly.
+
+Recovery (crystal.recover_crystal) calls neither is_almost_period nor
+snap_to_period: its candidates are anchor differences already, so it
+verifies each one directly with verify_exact_period.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from .errors import (
     AmbiguousSnap,
     ConfigError,
-    CoreTooLarge,
     NoSnapTarget,
     NotExactPeriod,
     WindowTooSmall,
@@ -131,15 +134,13 @@ def is_almost_period(S: WindowedSet, tau, epsilon: float):
             float(d.max()) if len(d) else 0.0,
         )
 
-    rows, cols, dists = [], [], []
+    rows, cols = [], []
     neighborhoods = S.tree().query_ball_point(shifted, epsilon * (1 + 1e-12))
     for i, cand in enumerate(neighborhoods):
         for j in sorted(cand):
-            dd = float(np.linalg.norm(shifted[i] - S.points[j]))
-            if dd < epsilon:
+            if np.linalg.norm(shifted[i] - S.points[j]) < epsilon:
                 rows.append(i)
                 cols.append(j)
-                dists.append(dd)
     graph = sp.csr_matrix(
         (np.ones(len(rows)), (rows, cols)), shape=(len(core), len(S))
     )
@@ -160,47 +161,6 @@ def _frozen_int(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.intp)
     out.flags.writeable = False
     return out
-
-
-def brute_force_almost_period(S: WindowedSet, tau, epsilon: float) -> bool:
-    """Exhaustive oracle for is_almost_period (cores of at most 8 points).
-
-    Tries every injection of the core into the window by backtracking;
-    true iff some injection keeps all displacements below epsilon.
-    """
-    tau = np.asarray(tau, dtype=np.float64).reshape(-1)
-    epsilon = float(epsilon)
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
-    t = float(np.linalg.norm(tau))
-    if t + epsilon >= S.radius:
-        raise ConfigError("|tau| + epsilon must stay below R")
-    core = _core_indices(S, t + epsilon)
-    if len(core) == 0:
-        raise WindowTooSmall("no core points survive the margin")
-    if len(core) > 8:
-        raise CoreTooLarge(f"core has {len(core)} points, oracle cap is 8")
-
-    cand = []
-    for i in core:
-        shifted = S.points[i] + tau
-        d = np.linalg.norm(S.points - shifted, axis=1)
-        cand.append(list(np.flatnonzero(d < epsilon)))
-
-    used = set()
-
-    def assign(k: int) -> bool:
-        if k == len(cand):
-            return True
-        for j in cand[k]:
-            if j not in used:
-                used.add(j)
-                if assign(k + 1):
-                    return True
-                used.remove(j)
-        return False
-
-    return assign(0)
 
 
 def candidate_almost_periods(

@@ -76,10 +76,8 @@ def _add_config_flags(sub) -> None:
     d = RunConfig()
     sub.add_argument("--strategy", choices=STRATEGIES, default=d.strategy)
     sub.add_argument("--cone-scale", type=float, default=d.cone_scale)
-    sub.add_argument("--r-min", type=float, default=d.r_min)
     sub.add_argument("--r-max", type=float, default=d.r_max)
     sub.add_argument("--tol-exact", type=float, default=d.tol_exact)
-    sub.add_argument("--min-points", type=int, default=d.min_points)
 
 
 def _add_generator_flags(sub) -> None:

@@ -707,12 +707,14 @@ def _near_lattice(L: Lattice | None, cands: np.ndarray,
 def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
     """Full recovery pipeline; CrystalDecomposition or NoCrystalEvidence.
 
-    D and the minimum separation, which caps epsilon and sets the default
-    r_min, are measured on the window points nearest the origin
-    (_local_scales, core margin R/10), the finite-type gap on a ball about
-    it (_anchor_ball). The hypotheses they test hold uniformly in a
-    crystal; a window broken away from the origin is refused by the
-    decomposition check, which reads the whole window.
+    A window of fewer than 2 points stages at input: D and the minimum
+    separation need a pair. They cap epsilon and set the candidate annulus
+    floor r_min = max(min_sep/2, 4 tol_exact), and are measured on the
+    window points nearest the origin (_local_scales, core margin R/10),
+    the finite-type gap on a ball about it (_anchor_ball). The hypotheses
+    they test hold uniformly in a crystal; a window broken away from the
+    origin is refused by the decomposition check, which reads the whole
+    window.
 
     Candidates are the anchor differences c - a, a the window point nearest
     the origin: a period T with |T| <= r maps a onto a window point. Each
@@ -727,11 +729,12 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
     whole step and are redone after each verified period. Each step first
     probes the other candidates in one batched query (_probe_rejections);
     only those no probe rejects get the full scan. Candidate radii escalate
-    (doubling from 4D up to R/2) until the lattice exists, every paper-cone
-    axis cone holds a period, and the swept annulus covers the covering
-    radius of the lattice (any period missing from the group would have a
-    coset representative that short), so a skewed or composite period group
-    is closed before the verdict. An explicit r_max disables escalation.
+    (doubling from max(4D, 3 r_min) up to R/2) until the lattice exists,
+    every paper-cone axis cone holds a period, and the swept annulus covers
+    the covering radius of the lattice (any period missing from the group
+    would have a coset representative that short), so a skewed or composite
+    period group is closed before the verdict. An explicit r_max disables
+    escalation.
 
     The ladder only grows the lattice. The verdict is decided once, after
     it: the strategy's gate (paper-cone also needs a period in every axis
@@ -739,10 +742,10 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
     """
     cfg = (config or RunConfig()).validate()
     diag: dict = {"strategy": cfg.strategy, "n_points": len(S)}
-    if len(S) < cfg.min_points:
+    if len(S) < 2:
         return NoCrystalEvidence(
             stage="input",
-            reason=f"{len(S)} points, need at least min_points={cfg.min_points}",
+            reason=f"{len(S)} points: D and the minimum separation need 2",
             diagnostics=diag,
         )
     p = S.dim
@@ -787,8 +790,7 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
     eps = min(gapinfo.epsilon, min_sep / 2)
     diag.update(epsilon=eps, gap=gapinfo.gap, pair_count=gapinfo.pair_count)
 
-    r_min = cfg.r_min if cfg.r_min is not None else max(min_sep / 2,
-                                                        4 * cfg.tol_exact)
+    r_min = max(min_sep / 2, 4 * cfg.tol_exact)
     diag["r_min"] = r_min
     if cfg.r_max is not None:
         if not r_min < cfg.r_max <= R / 2 + TOL_EQ:

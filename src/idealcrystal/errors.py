@@ -41,10 +41,6 @@ class WindowTooSmall(IdealCrystalError):
     """The window cannot accommodate the requested translation."""
 
 
-class CoreTooLarge(IdealCrystalError):
-    """Exhaustive search refused: the core exceeds the factorial-cost bound."""
-
-
 class NoSnapTarget(IdealCrystalError):
     """No set point lies close enough to the translated anchor."""
 

@@ -232,8 +232,11 @@ def finite_type_gap(S: WindowedSet, D: float) -> TypeGapReport:
     """Separation gap of the difference set at cutoff D+1.
 
     gap = min |u-v| over distinct stored difference vectors; epsilon is
-    min(1, gap)/2, which sits strictly inside every bound the downstream
-    matching and snapping stages need. A gap at the merge tolerance means
+    min(1, gap)/2. recover_crystal caps it at half the minimum separation
+    and uses it as the anchor's core margin, and epsilon/2 as the distance
+    within which a candidate counts as already in the running lattice. It
+    verifies anchor differences directly and does not call
+    is_almost_period or snap_to_period. A gap at the merge tolerance means
     the difference set is not resolvably discrete and is reported as
     DegenerateGap rather than a number.
 

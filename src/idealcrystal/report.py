@@ -15,7 +15,7 @@ import numpy as np
 
 from .crystal import CrystalDecomposition, NoCrystalEvidence
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def _py(value):

@@ -15,7 +15,6 @@ from scipy.stats import special_ortho_group
 from idealcrystal.almost_period import (
     AlmostPeriodCertificate,
     FailureWitness,
-    brute_force_almost_period,
     is_almost_period,
     verify_exact_period,
 )
@@ -37,6 +36,7 @@ from idealcrystal.generators import (
 from idealcrystal.geometry import denseness_radius, difference_vectors, finite_type_gap
 from idealcrystal.pointset import WindowedSet, window_restrict
 from idealcrystal.report import canonical_json
+from oracles import brute_force_almost_period
 
 GOLDEN = (1 + np.sqrt(5.0)) / 2
 

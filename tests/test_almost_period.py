@@ -14,7 +14,6 @@ from idealcrystal import (
     AlmostPeriodCertificate,
     AmbiguousSnap,
     ConfigError,
-    CoreTooLarge,
     FailureWitness,
     NoSnapTarget,
     NotExactPeriod,
@@ -22,7 +21,6 @@ from idealcrystal import (
     TOL_EQ,
     WindowTooSmall,
     WindowedSet,
-    brute_force_almost_period,
     candidate_almost_periods,
     difference_vectors,
     gen_ideal_crystal,
@@ -32,6 +30,7 @@ from idealcrystal import (
     verify_exact_period,
 )
 from idealcrystal.almost_period import _anchor_differences
+from oracles import CoreTooLarge, brute_force_almost_period
 
 
 def integer_line(R=10.0):

@@ -1,15 +1,19 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from idealcrystal.cli import _config_from_args, build_parser
 from idealcrystal.config import RunConfig
+from idealcrystal.crystal import recover_crystal
 from idealcrystal.generators import gen_ideal_crystal
 from idealcrystal.pointset import WindowedSet, load_points, serialize
+from idealcrystal.report import build_report
 
 PKG = [sys.executable, "-m", "idealcrystal"]
 
@@ -242,8 +246,16 @@ def test_analyze_bad_config_exit_1(tmp_path):
     src = tmp_path / "c.csv"
     run("generate", "crystal", "--basis", "1", "--radius", "30",
         "--out", str(src))
-    a = run("analyze", str(src), "--r-min", "5", "--r-max", "2")
-    assert a.returncode == 1
+    # r_max must be positive, and at most R/2 = 15
+    for r_max in ("0", "45"):
+        a = run("analyze", str(src), "--r-max", r_max)
+        assert a.returncode == 1, r_max
+        assert a.stderr.startswith("error: ") and "r_max" in a.stderr
+    # the window decides r_min and how few points suffice; neither is a flag
+    for flag in ("--r-min", "--min-points"):
+        a = run("analyze", str(src), flag, "5")
+        assert a.returncode == 1, flag
+        assert "unrecognized arguments" in a.stderr
 
 
 def test_analyze_report_to_file(tmp_path):
@@ -273,14 +285,25 @@ def test_roundtrip_aperiodic_exit_3():
     assert "no-crystal" in r.stdout
 
 
-def test_roundtrip_mismatch_exit_2():
-    # the annulus is pinned onto the doubled period of Z, so recovery
-    # reports det 2 against a generating det of 1: ratio 0.5 is not an
-    # integer factor and the comparison must fail loudly
-    r = run("roundtrip", "crystal", "--basis", "1", "--residues", "0",
-            "--radius", "30", "--r-min", "1.5", "--r-max", "2.4")
-    assert r.returncode == 2
-    assert "ratio_integer" in r.stdout
+def test_roundtrip_mismatch_exit_2(monkeypatch, capsys):
+    # recovery is handed only the even points of Z, so it reports det 2
+    # against a generating det of 1: ratio 0.5 is not an integer factor and
+    # the comparison must fail loudly
+    from idealcrystal import cli
+
+    recover = cli.recover_crystal
+
+    def even_points_only(S, config):
+        return recover(WindowedSet(S.points[S.points[:, 0] % 2 == 0],
+                                   S.radius), config)
+
+    monkeypatch.setattr(cli, "recover_crystal", even_points_only)
+    assert cli.main(["roundtrip", "crystal", "--basis", "1", "--residues",
+                     "0", "--radius", "30"]) == 2
+    rows = dict(line.split(None, 1)
+                for line in capsys.readouterr().out.splitlines())
+    assert rows["recovered_det"] == "2"
+    assert rows["ratio_integer"] == "False"
 
 
 def test_reports_deterministic_across_runs(tmp_path):
@@ -331,6 +354,22 @@ def test_seed_is_a_generator_flag_only(tmp_path):
     r = run("roundtrip", "poisson", "--radius", "60", "--seed", "3")
     assert r.returncode == 3
     assert "no-crystal" in r.stdout
+
+
+def test_analysis_flags_and_config_echo_are_run_config_fields():
+    # a setting lives in RunConfig, in the flags of both analysis commands
+    # and in the report's config block, or in none of them
+    want = [f.name for f in fields(RunConfig)]
+    assert want == ["strategy", "cone_scale", "r_max", "tol_exact"]
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    dests = {cmd: {a.dest for a in p._actions} for cmd, p in sub.choices.items()}
+    report_io = {"help", "input", "format", "output", "out"}
+    assert dests["analyze"] - report_io == set(want)
+    assert dests["roundtrip"] - dests["generate"] == set(want)
+    S = gen_ideal_crystal([[1.0]], [[0.0]], 10.0)
+    rep = build_report(recover_crystal(S), RunConfig())
+    assert list(rep["config"]) == want
 
 
 def test_config_flags_default_to_run_config():

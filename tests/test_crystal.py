@@ -1020,13 +1020,20 @@ def test_recover_skewed_two_coset_plane():
     assert dec.max_residual <= 1e-7
 
 
-def test_recover_min_points_gate():
-    S = gen_ideal_crystal([[1.0]], [[0.0]], 10.0)
-    out = recover_crystal(S)
-    assert isinstance(out, NoCrystalEvidence)
-    assert out.stage == "input"
-    dec = recover_crystal(S, RunConfig(min_points=5))
-    assert isinstance(dec, CrystalDecomposition)
+def test_recover_point_count_floor():
+    # D and the minimum separation need a pair, and recovery needs no more
+    # points than that: fewer than 2 stage at input, and a 5-point window
+    # of Z is already a crystal
+    for pts in (np.zeros((0, 1)), [[0.3]]):
+        out = recover_crystal(WindowedSet(pts, 1.0))
+        assert isinstance(out, NoCrystalEvidence)
+        assert out.stage == "input"
+    for R, n in ((10.0, 21), (2.0, 5)):
+        S = gen_ideal_crystal([[1.0]], [[0.0]], R)
+        assert len(S) == n
+        dec = recover_crystal(S)
+        assert isinstance(dec, CrystalDecomposition)
+        assert abs(abs(dec.lattice.det) - 1.0) < 1e-9
 
 
 def test_recover_translation_covariance():
@@ -1063,7 +1070,7 @@ def test_recover_explicit_annulus():
     assert isinstance(dec, CrystalDecomposition)
     assert abs(abs(dec.lattice.det) - 1.0) < 1e-9
     with pytest.raises(ConfigError):
-        recover_crystal(S, RunConfig(r_min=40.0, r_max=45.0))
+        recover_crystal(S, RunConfig(r_max=45.0))
 
 
 def test_recover_paper_cone_infeasible_ladder():
@@ -1085,7 +1092,8 @@ def test_recover_paper_cone_infeasible_ladder():
 
 def test_recover_counts_no_zero_candidate():
     # with r_min below TOL_EQ the annulus reaches length 0, yet the anchor
-    # is no translation of itself: only points c != a give candidates
+    # is no translation of itself: only points c != a give candidates.
+    # Recovery's own floor, half the minimum separation, keeps them all
     S = gen_ideal_crystal([[1.0, 0.0], [0.3, 1.1]], [[0.0, 0.0]], 12.0)
     a = S.points[np.argmin(S.norms())]
     d = np.linalg.norm(S.points - a, axis=1)
@@ -1094,7 +1102,7 @@ def test_recover_counts_no_zero_candidate():
     got = candidate_almost_periods(S, 0.1, 1e-12, 3.0)
     assert len(got) == want
     assert np.all(np.linalg.norm(got, axis=1) > 0)
-    out = recover_crystal(S, RunConfig(r_min=1e-12, r_max=3.0))
+    out = recover_crystal(S, RunConfig(r_max=3.0))
     assert out.verified
     assert out.diagnostics["n_candidates"] == want
 
@@ -1151,11 +1159,14 @@ def test_recover_window_without_measurable_scales_is_staged_at_input(origin):
 
 
 def test_recover_r_min_past_half_the_radius_is_staged():
-    S = gen_ideal_crystal(PLANE_B, PLANE_F, 30.0)
-    out = recover_crystal(S, RunConfig(r_min=20.0))
+    # r_min is half the minimum separation, 0.85, and candidates reach at
+    # most R/2 = 0.5
+    S = WindowedSet([[-0.85], [0.85]], 1.0)
+    out = recover_crystal(S)
     assert isinstance(out, NoCrystalEvidence)
     assert out.stage == "candidate-generation"
-    assert out.reason == "candidate annulus empty: r_min 20 >= R/2 15"
+    assert out.reason == "candidate annulus empty: r_min 0.85 >= R/2 0.5"
+    assert out.diagnostics["r_min"] == 0.85
 
 
 def test_recover_fibonacci_negative():
@@ -1760,12 +1771,12 @@ def test_near_duplicate_windows_keep_their_verdicts(extra, strategy, stage,
 
 @pytest.mark.parametrize("delta", [1.01e-9, 1.5e-9, 1.99e-9])
 def test_candidate_within_two_tol_eq_stops_at_the_gap(delta):
-    # a candidate no longer than 2 tol_eq puts a second point that close to
-    # the anchor, inside the gap ball, so the gap stage refuses the window
-    # before any candidate is checked
+    # a difference no longer than 2 tol_eq puts a second point that close
+    # to the anchor, inside the gap ball, so the gap stage refuses the
+    # window before any candidate is harvested
     S = WindowedSet(np.vstack([disc_lattice(20.0).points, [[delta, 0.0]]]),
                     20.0)
-    out = recover_crystal(S, RunConfig(r_min=1e-9))
+    out = recover_crystal(S)
     assert isinstance(out, NoCrystalEvidence)
     assert out.stage == "finite-type-gap"
     assert "n_candidates" not in out.diagnostics
@@ -1779,6 +1790,4 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(tol_exact=-1.0).validate()
     with pytest.raises(ConfigError):
-        RunConfig(r_min=2.0, r_max=1.0).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(min_points=1).validate()
+        RunConfig(r_max=0.0).validate()
