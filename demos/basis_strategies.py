@@ -31,7 +31,7 @@ print(f"paper-cone: det = {cone.lattice.det:.9f}")
 # show the certificates the cone route found
 P = np.array([q.T for q in cone.periods])
 for j in (1, 2):
-    members = cone_filter(P, j, 2, 1.0)
+    members = cone_filter(P, j, 2)
     tau = members[np.argmin(np.linalg.norm(members, axis=1))]
     print(f"axis {j} cone member tau = ({tau[0]: .6f}, {tau[1]: .6f}), "
           f"|tau| = {np.linalg.norm(tau):.6f}, "

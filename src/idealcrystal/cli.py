@@ -75,7 +75,6 @@ def _config_from_args(args) -> RunConfig:
 def _add_config_flags(sub) -> None:
     d = RunConfig()
     sub.add_argument("--strategy", choices=STRATEGIES, default=d.strategy)
-    sub.add_argument("--cone-scale", type=float, default=d.cone_scale)
     sub.add_argument("--r-max", type=float, default=d.r_max)
     sub.add_argument("--tol-exact", type=float, default=d.tol_exact)
 

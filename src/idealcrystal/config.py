@@ -1,11 +1,12 @@
 """Run configuration for the recovery pipeline and the CLI.
 
-Four settings: the basis strategy, the paper-cone scale, an optional top
-candidate radius and the exact-period tolerance. The window decides the
-rest: recover_crystal derives the candidate annulus floor r_min =
-max(min_sep/2, 4 tol_exact) from it, and r_max (when unset) enables the
-escalation ladder that widens the candidate annulus until it covers the
-covering radius of the recovered lattice, or R/2.
+Three settings: the basis strategy, an optional top candidate radius and
+the exact-period tolerance. The window decides the rest: recover_crystal
+derives the candidate annulus floor r_min = max(min_sep/2, 4 tol_exact)
+from it, and r_max (when unset) enables the escalation ladder that widens
+the candidate annulus until it covers the covering radius of the recovered
+lattice, or R/2. The paper-cone strategy uses the paper's own axis cones,
+whose lower radius is 3p^2.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ STRATEGIES = ("greedy-det", "paper-cone")
 @dataclass
 class RunConfig:
     strategy: str = "greedy-det"
-    cone_scale: float = 1.0
     r_max: float | None = None
     tol_exact: float = TOL_EXACT
 
@@ -30,8 +30,6 @@ class RunConfig:
             raise ConfigError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
             )
-        if not self.cone_scale > 0:
-            raise ConfigError("cone_scale must be positive")
         if not self.tol_exact > 0:
             raise ConfigError("tol_exact must be positive")
         if self.r_max is not None and not self.r_max > 0:

@@ -52,7 +52,8 @@ from .pointset import TOL_EQ, WindowedSet, _canonical_order, window_restrict
 
 log = logging.getLogger(__name__)
 
-#: Integrality tolerance for lattice coordinates.
+#: Integrality tolerance for lattice coordinates: Lattice.contains,
+#: refine_lattice's rational fit and the coset test of residues.
 COORD_TOL = 1e-6
 
 #: Subwindow points nearest the origin that each ladder step's probe pass
@@ -82,16 +83,14 @@ _LOCAL_POINTS = 256
 _ROW_BLOCK = 1 << 14
 
 
-def cone_filter(vectors, j: int, p: int, scale: float = 1.0) -> np.ndarray:
-    """Vectors x with scale*3p^2 < |x| < (1+(2p)^-2) |<x, e_j>|.
+def cone_filter(vectors, j: int, p: int) -> np.ndarray:
+    """Vectors x with 3p^2 < |x| < (1+(2p)^-2) |<x, e_j>|, the paper's
+    axis cone.
 
-    vectors is one p-vector or rows of p columns; j is 1-based. scale
-    shrinks only the lower radius bound; the angular part is scale-free.
+    vectors is one p-vector or rows of p columns; j is 1-based.
     """
     if not 1 <= j <= p:
         raise ConfigError(f"axis j={j} out of range 1..{p}")
-    if not scale > 0:
-        raise ConfigError("scale must be positive")
     vecs = np.asarray(vectors, dtype=np.float64)
     if vecs.shape == (p,):
         vecs = vecs[None]
@@ -99,14 +98,14 @@ def cone_filter(vectors, j: int, p: int, scale: float = 1.0) -> np.ndarray:
         raise ConfigError(
             f"need one {p}-vector or rows of {p} columns, got shape {vecs.shape}"
         )
-    return vecs[_cone_mask(vecs, j, p, scale)]
+    return vecs[_cone_mask(vecs, j, p)]
 
 
-def _cone_mask(vecs: np.ndarray, j: int, p: int, scale: float) -> np.ndarray:
+def _cone_mask(vecs: np.ndarray, j: int, p: int) -> np.ndarray:
     """Row mask of cone_filter for validated arguments."""
     norms = np.linalg.norm(vecs, axis=1)
     axis = np.abs(vecs[:, j - 1])
-    return (norms > scale * 3 * p * p) & (norms < (1 + 0.25 / (p * p)) * axis)
+    return (norms > 3 * p * p) & (norms < (1 + 0.25 / (p * p)) * axis)
 
 
 def dominance_check(T, j: int, p: int) -> bool:
@@ -143,13 +142,12 @@ class Lattice:
     """Full-rank lattice {n1 T1 + ... + np Tp} with membership arithmetic.
 
     Rows of basis are the generators; coords(x) = x @ inv are the real
-    coefficients, integral within coord_tol exactly for members.
+    coefficients, integral within COORD_TOL exactly for members.
     """
 
     basis: np.ndarray
     det: float
     inv: np.ndarray
-    coord_tol: float
 
     @property
     def dim(self) -> int:
@@ -167,20 +165,19 @@ class Lattice:
         return np.linalg.norm(x - self.nearest(x), axis=-1)
 
     def contains(self, x):
-        """Membership within coord_tol, elementwise over leading axes."""
+        """Membership within COORD_TOL, elementwise over leading axes."""
         c = self.coords(x)
-        return np.all(np.abs(c - np.round(c)) <= self.coord_tol, axis=-1)
+        return np.all(np.abs(c - np.round(c)) <= COORD_TOL, axis=-1)
 
 
-def build_lattice(vectors, coord_tol: float = COORD_TOL,
-                  det_floor: float = 1e-6) -> Lattice:
+def build_lattice(vectors, det_floor: float = 1e-6) -> Lattice:
     """Lattice from p basis rows; SingularBasis unless |det| exceeds
     det_floor * prod |T_j|, a floor relative to the row lengths."""
     B = np.array(vectors, dtype=np.float64)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ConfigError(f"basis must be square, got shape {B.shape}")
-    if not coord_tol > 0:
-        raise ConfigError("coord_tol must be positive")
+    if not np.isfinite(B).all():
+        raise ConfigError(f"basis entries must be finite, got {B.tolist()}")
     det = float(np.linalg.det(B))
     floor = det_floor * float(np.prod(np.linalg.norm(B, axis=1)))
     if not abs(det) > floor:
@@ -190,7 +187,7 @@ def build_lattice(vectors, coord_tol: float = COORD_TOL,
     inv = np.linalg.inv(B)
     B.flags.writeable = False
     inv.flags.writeable = False
-    return Lattice(basis=B, det=det, inv=inv, coord_tol=float(coord_tol))
+    return Lattice(basis=B, det=det, inv=inv)
 
 
 def _hnf_rows(rows: list[list[int]], p: int) -> list[list[int]]:
@@ -258,7 +255,7 @@ def refine_lattice(L: Lattice, periods) -> Lattice:
             fracs = [Fraction(float(c)).limit_denominator(_MAX_DENOMINATOR)
                      for c in coords]
             err = max(abs(float(f) - float(c)) for f, c in zip(fracs, coords))
-            if err > L.coord_tol:
+            if err > COORD_TOL:
                 deferred.append((T, err))
                 continue
             extra.append(fracs)
@@ -274,7 +271,7 @@ def refine_lattice(L: Lattice, periods) -> Lattice:
             rows.append([int(f * denom) for f in fr])
         H = _hnf_rows(rows, p)
         new_basis = (np.array(H, dtype=np.float64) / denom) @ L.basis
-        L = build_lattice(new_basis, L.coord_tol)
+        L = build_lattice(new_basis)
         if not deferred:
             break
         pending = [T for T, _ in deferred]
@@ -381,7 +378,7 @@ def residues(S: WindowedSet, L: Lattice) -> np.ndarray:
 
     kept: list[np.ndarray] = []
     for i in order:
-        if not any(_same_coset(fracs[i], g, L.coord_tol) for g in kept):
+        if not any(_same_coset(fracs[i], g, COORD_TOL) for g in kept):
             kept.append(fracs[i])
     out = np.array(kept) @ L.basis
     out = np.ascontiguousarray(out[_canonical_order(out)])
@@ -812,17 +809,17 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
             ladder.append(min(2 * ladder[-1], R / 2))
 
     # paper-cone needs a verified period inside every axis cone, and cone
-    # members are longer than 3p^2*scale; a candidate is no longer than the
-    # top ladder radius (plus the merge tolerance), so a ladder that stops
-    # short of the cones can never succeed
-    cone_lo = cfg.cone_scale * 3.0 * p * p
+    # members are longer than 3p^2; a candidate is no longer than the top
+    # ladder radius (plus the merge tolerance), so a ladder that stops short
+    # of the cones can never succeed
+    cone_lo = 3.0 * p * p
     if cfg.strategy == "paper-cone" and p >= 2 and ladder[-1] + TOL_EQ <= cone_lo:
         diag.update(n_candidates=0, n_periods=0)
         return NoCrystalEvidence(
             stage="basis-selection",
             reason=(
                 f"every axis cone is empty: cone members are longer than "
-                f"3p^2*cone_scale = {cone_lo:g}, candidates at most "
+                f"3p^2 = {cone_lo:g}, candidates at most "
                 f"{ladder[-1]:g}"
             ),
             diagnostics=diag,
@@ -861,8 +858,7 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
         # the anchor
         scr = _anchor_ball(S, 2.2 * r_cur, 2.0)
         # cone[j-1] marks the candidates inside the cone of axis j
-        cone = np.array([_cone_mask(cands, j, p, cfg.cone_scale)
-                         for j in range(1, p + 1)])
+        cone = np.array([_cone_mask(cands, j, p) for j in range(1, p + 1)])
         # a candidate already inside the recovered period group cannot
         # refine it; it can only fill a still-empty axis cone. The probe
         # pass leaves those to the skip below, which is redone whenever the

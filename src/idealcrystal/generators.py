@@ -11,11 +11,12 @@ The lattice generators take their lattice points from the decomposition
 check's ball enumeration (crystal._lattice_points), in one array, and check
 their basis with crystal.build_lattice under their own determinant floor.
 Every generator refuses with ConfigError what it cannot build from: a
-radius or intensity that is not finite and positive, a non-finite slope,
-interval, frequency or residue, lattice coordinates past int64, a
-Poisson mean numpy cannot draw and an array past the largest size numpy
-can make (``_check_array_size``), which numpy would refuse with a
-ValueError of its own.
+radius or intensity that is not finite and positive, a non-finite basis,
+slope, interval, frequency or residue, lattice coordinates past int64, a
+Poisson seed that is not an integer >= 0, a Poisson mean numpy cannot
+draw and an array past the largest size numpy can make
+(``_check_array_size``), which numpy would refuse with a ValueError of its
+own.
 """
 
 from __future__ import annotations
@@ -201,6 +202,8 @@ def gen_poisson(intensity: float, R: float, seed: int, dim: int = 1,
     R = _positive("radius", R)
     if dim < 1:
         raise ConfigError("dim must be at least 1")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     try:
         volume = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * R**dim

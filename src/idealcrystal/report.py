@@ -15,7 +15,7 @@ import numpy as np
 
 from .crystal import CrystalDecomposition, NoCrystalEvidence
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def _py(value):
@@ -59,56 +59,54 @@ def canonical_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+#: Keys every report carries after schema_version, config and timings_ms,
+#: in this order; a verdict without a value for one reports null.
+_RESULT_KEYS = ("verdict", "epsilon", "D", "periods", "basis", "det",
+                "residues", "coverage_in", "coverage_out", "max_residual",
+                "witnesses", "stage", "reason", "diagnostics")
+
+
 def build_report(result, config, timings_ms: dict | None = None) -> dict:
     """Report dict from a recovery outcome plus the config echo."""
+    if isinstance(result, CrystalDecomposition):
+        values = dict(
+            verdict="crystal",
+            epsilon=result.epsilon,
+            D=result.D,
+            periods=[
+                {"T": P.T, "verified_radius": float(P.verified_radius)}
+                for P in result.periods
+            ],
+            basis=result.lattice.basis,
+            det=float(result.lattice.det),
+            residues=result.residues,
+            coverage_in=float(result.coverage_in),
+            coverage_out=float(result.coverage_out),
+            max_residual=float(result.max_residual),
+            witnesses=np.concatenate([result.witnesses_in,
+                                      result.witnesses_out]),
+            diagnostics=result.diagnostics,
+        )
+    elif isinstance(result, NoCrystalEvidence):
+        diag = result.diagnostics
+        values = dict(
+            verdict="no-crystal",
+            epsilon=diag.get("epsilon"),
+            D=diag.get("D"),
+            periods=[],
+            witnesses=result.witnesses,
+            stage=result.stage,
+            reason=result.reason,
+            diagnostics=diag,
+        )
+    else:
+        raise TypeError(f"unexpected result type {type(result).__name__}")
     report = {
         "schema_version": SCHEMA_VERSION,
         "config": _py(config.echo()),
         "timings_ms": _py(timings_ms or {}),
     }
-    if isinstance(result, CrystalDecomposition):
-        report.update(
-            verdict="crystal",
-            epsilon=result.epsilon,
-            D=result.D,
-            periods=[
-                {"T": _py(P.T), "verified_radius": float(P.verified_radius)}
-                for P in result.periods
-            ],
-            basis=_py(result.lattice.basis),
-            det=float(result.lattice.det),
-            residues=_py(result.residues),
-            coverage_in=float(result.coverage_in),
-            coverage_out=float(result.coverage_out),
-            max_residual=float(result.max_residual),
-            witnesses=_py(np.concatenate(
-                [result.witnesses_in, result.witnesses_out]
-            )) if (len(result.witnesses_in) or len(result.witnesses_out))
-            else [],
-            stage=None,
-            reason=None,
-            diagnostics=_py(result.diagnostics),
-        )
-    elif isinstance(result, NoCrystalEvidence):
-        diag = dict(result.diagnostics)
-        report.update(
-            verdict="no-crystal",
-            epsilon=diag.get("epsilon"),
-            D=diag.get("D"),
-            periods=[],
-            basis=None,
-            det=None,
-            residues=None,
-            coverage_in=None,
-            coverage_out=None,
-            max_residual=None,
-            witnesses=_py(result.witnesses) if len(result.witnesses) else [],
-            stage=result.stage,
-            reason=result.reason,
-            diagnostics=_py(diag),
-        )
-    else:
-        raise TypeError(f"unexpected result type {type(result).__name__}")
+    report.update((k, _py(values.get(k))) for k in _RESULT_KEYS)
     return report
 
 

@@ -178,7 +178,7 @@ def _cone_member(rng, j: int, p: int) -> np.ndarray:
             off *= np.sqrt(hw) * abs(ax) * float(rng.uniform(0, 0.9)) / n
         x = off.copy()
         x[j - 1] = ax
-        if len(cone_filter(x[None], j, p, 1.0)):
+        if len(cone_filter(x[None], j, p)):
             return x
 
 
@@ -266,8 +266,8 @@ def test_criterion_6_paper_cone_fidelity():
         assert isinstance(dc, CrystalDecomposition), seed
         # a verified period sits in each axis cone (12 < |x| < 1.0625|x_j|)
         P = np.array([q.T for q in dc.periods])
-        assert len(cone_filter(P, 1, 2, 1.0)), seed
-        assert len(cone_filter(P, 2, 2, 1.0)), seed
+        assert len(cone_filter(P, 1, 2)), seed
+        assert len(cone_filter(P, 2, 2)), seed
         ratio = abs(dc.lattice.det) / abs(dg.lattice.det)
         k = max(1, round(ratio))
         ki = max(1, round(1 / ratio))

@@ -1,9 +1,11 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from idealcrystal.config import RunConfig
 from idealcrystal.crystal import recover_crystal
 from idealcrystal.generators import gen_ideal_crystal
 from idealcrystal.pointset import WindowedSet, load_points, serialize
-from idealcrystal.report import build_report
+from idealcrystal.report import SCHEMA_VERSION, build_report
 
 PKG = [sys.executable, "-m", "idealcrystal"]
 
@@ -251,8 +253,9 @@ def test_analyze_bad_config_exit_1(tmp_path):
         a = run("analyze", str(src), "--r-max", r_max)
         assert a.returncode == 1, r_max
         assert a.stderr.startswith("error: ") and "r_max" in a.stderr
-    # the window decides r_min and how few points suffice; neither is a flag
-    for flag in ("--r-min", "--min-points"):
+    # the window decides r_min and how few points suffice, and paper-cone
+    # uses the paper's cones; none of them is a flag
+    for flag in ("--r-min", "--min-points", "--cone-scale"):
         a = run("analyze", str(src), flag, "5")
         assert a.returncode == 1, flag
         assert "unrecognized arguments" in a.stderr
@@ -340,6 +343,14 @@ def test_generate_seeded_determinism():
     assert a.stdout != c.stdout
 
 
+@pytest.mark.parametrize("cmd", ["generate", "roundtrip"])
+def test_negative_seed_exits_1(cmd):
+    r = run(cmd, "poisson", "--seed", "-1")
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: ") and "seed" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_seed_is_a_generator_flag_only(tmp_path):
     # recovery reads no seed: analyze refuses the flag and the config echo
     # omits it, while generate and roundtrip still seed the generator
@@ -360,7 +371,7 @@ def test_analysis_flags_and_config_echo_are_run_config_fields():
     # a setting lives in RunConfig, in the flags of both analysis commands
     # and in the report's config block, or in none of them
     want = [f.name for f in fields(RunConfig)]
-    assert want == ["strategy", "cone_scale", "r_max", "tol_exact"]
+    assert want == ["strategy", "r_max", "tol_exact"]
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     dests = {cmd: {a.dest for a in p._actions} for cmd, p in sub.choices.items()}
@@ -370,6 +381,16 @@ def test_analysis_flags_and_config_echo_are_run_config_fields():
     S = gen_ideal_crystal([[1.0]], [[0.0]], 10.0)
     rep = build_report(recover_crystal(S), RunConfig())
     assert list(rep["config"]) == want
+
+
+def test_readme_names_the_run_config_flags_and_schema_version():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    m = re.search(r"Analysis flags mirror `RunConfig`:(.*?)\.", text, re.S)
+    assert m is not None
+    assert re.findall(r"`(--[a-z-]+)`", m.group(1)) == [
+        "--" + f.name.replace("_", "-") for f in fields(RunConfig)
+    ]
+    assert re.findall(r"`schema_version` (\d+)", text) == [str(SCHEMA_VERSION)]
 
 
 def test_config_flags_default_to_run_config():

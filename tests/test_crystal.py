@@ -93,7 +93,9 @@ def test_cone_filter_p2_examples():
     assert len(cone_filter([[13.0, 0.0]], 1, 2)) == 1
     assert len(cone_filter([[13.0, 5.0]], 1, 2)) == 0
     assert len(cone_filter([[5.0, 0.0]], 1, 2)) == 0
-    assert len(cone_filter([[5.0, 0.0]], 1, 2, scale=0.25)) == 1
+    # the lower radius is the paper's 3p^2 = 12, strict
+    assert len(cone_filter([[12.0, 0.0]], 1, 2)) == 0
+    assert len(cone_filter([[12.5, 0.0]], 1, 2)) == 1
 
 
 def test_cone_filter_axis_roles():
@@ -105,8 +107,6 @@ def test_cone_filter_axis_roles():
 def test_cone_filter_validation():
     with pytest.raises(ConfigError):
         cone_filter([[1.0, 0.0]], 3, 2)
-    with pytest.raises(ConfigError):
-        cone_filter([[1.0, 0.0]], 1, 2, scale=0.0)
     # input of the wrong width is refused, not reshaped into rows that are
     # not in the input
     with pytest.raises(ConfigError):
@@ -1083,11 +1083,28 @@ def test_recover_paper_cone_infeasible_ladder():
     assert isinstance(out, NoCrystalEvidence)
     assert out.stage == "basis-selection"
     assert out.diagnostics["n_candidates"] == 0
-    # the same window is a crystal under greedy-det, and a smaller
-    # cone_scale brings the cones inside R/2
+    assert out.reason.startswith(
+        "every axis cone is empty: cone members are longer than 3p^2 = 27,")
+    # the same window is a crystal under greedy-det
     assert recover_crystal(S).verified
-    out = recover_crystal(S, RunConfig(strategy="paper-cone", cone_scale=0.25))
+
+
+def test_recover_paper_cone_p3():
+    # a rotated near-cubic p = 3 crystal whose window reaches the cones:
+    # R/2 = 30 passes 3p^2 = 27
+    c, s = np.cos(0.3), np.sin(0.3)
+    Q = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    B = Q @ np.diag([3.8, 4.0, 4.2])
+    S = gen_ideal_crystal(B, [[0.0, 0.0, 0.0]], 60.0)
+    out = recover_crystal(S, RunConfig(strategy="paper-cone"))
     assert out.verified
+    assert abs(out.lattice.det) == pytest.approx(abs(np.linalg.det(B)),
+                                                 rel=1e-9)
+    P = np.array([q.T for q in out.periods])
+    for j in (1, 2, 3):
+        members = cone_filter(P, j, 3)
+        assert len(members), j
+        assert bool(np.all(out.lattice.contains(members))), j
 
 
 def test_recover_counts_no_zero_candidate():
@@ -1785,8 +1802,6 @@ def test_candidate_within_two_tol_eq_stops_at_the_gap(delta):
 def test_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(strategy="magic").validate()
-    with pytest.raises(ConfigError):
-        RunConfig(cone_scale=0.0).validate()
     with pytest.raises(ConfigError):
         RunConfig(tol_exact=-1.0).validate()
     with pytest.raises(ConfigError):

@@ -236,6 +236,13 @@ def test_poisson_argument_validation():
     lambda: gen_poisson(1e15, 1000.0, 1),
     lambda: gen_poisson(1e3, 1e5, 1, dim=3),
     lambda: gen_cut_and_project((1 + 5**0.5) / 2, (0.0, 1.0), 1e19),
+    # numpy's default_rng raises ValueError and TypeError for these
+    lambda: gen_poisson(1.0, 5.0, -1),
+    lambda: gen_poisson(1.0, 5.0, 1.5),
+    # refused before the determinant, which would warn and return nan
+    lambda: gen_ideal_crystal([[np.nan]], [[0.0]], 5.0),
+    lambda: gen_ideal_crystal([[np.inf, 0.0], [0.0, 1.0]], [[0.0, 0.0]], 5.0),
+    lambda: gen_perturbed_lattice([[np.nan]], 0.1, [0.5], 10.0),
 ], ids=["crystal-inf-radius", "crystal-nan-radius", "crystal-nan-residue",
         "crystal-int64", "perturbed-inf-radius", "perturbed-int64",
         "perturbed-nan-amplitude", "perturbed-nan-freqs", "cut-project-inf-slope",
@@ -243,7 +250,9 @@ def test_poisson_argument_validation():
         "cut-project-nan-radius", "poisson-nan-intensity",
         "poisson-inf-intensity", "poisson-inf-radius", "poisson-huge-mean-1d",
         "poisson-huge-mean-2d", "poisson-past-array-size-1d",
-        "poisson-past-array-size-3d", "cut-project-past-array-size"])
+        "poisson-past-array-size-3d", "cut-project-past-array-size",
+        "poisson-negative-seed", "poisson-float-seed", "crystal-nan-basis",
+        "crystal-inf-basis", "perturbed-nan-basis"])
 def test_generators_refuse_what_they_cannot_build(make):
     with pytest.raises(ConfigError):
         make()

@@ -55,8 +55,7 @@ def test_report_fields_crystal():
     assert rep["schema_version"] == SCHEMA_VERSION
     assert rep["verdict"] == "crystal"
     assert rep["config"] == cfg.echo()
-    assert list(rep["config"]) == ["strategy", "cone_scale", "r_max",
-                                   "tol_exact"]
+    assert list(rep["config"]) == ["strategy", "r_max", "tol_exact"]
     assert rep["stage"] is None and rep["reason"] is None
     assert abs(abs(rep["det"]) - 2.0) < 1e-9
     assert rep["residues"] == [[0.0], [0.5]]
