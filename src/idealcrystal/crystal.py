@@ -172,14 +172,22 @@ class Lattice:
 
 def build_lattice(vectors, det_floor: float = 1e-6) -> Lattice:
     """Lattice from p basis rows; SingularBasis unless |det| exceeds
-    det_floor * prod |T_j|, a floor relative to the row lengths."""
+    det_floor * prod |T_j|, a floor relative to the row lengths.
+    ConfigError for a non-finite entry, or a determinant or floor that
+    overflows float64."""
     B = np.array(vectors, dtype=np.float64)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ConfigError(f"basis must be square, got shape {B.shape}")
     if not np.isfinite(B).all():
         raise ConfigError(f"basis entries must be finite, got {B.tolist()}")
-    det = float(np.linalg.det(B))
-    floor = det_floor * float(np.prod(np.linalg.norm(B, axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        det = float(np.linalg.det(B))
+        floor = det_floor * float(np.prod(np.linalg.norm(B, axis=1)))
+    if not (math.isfinite(det) and math.isfinite(floor)):
+        raise ConfigError(
+            f"|det| = {abs(det):.3e} or floor {floor:.3e} overflows float64 "
+            f"for basis {B.tolist()}"
+        )
     if not abs(det) > floor:
         raise SingularBasis(
             f"|det| = {abs(det):.3e} at or below floor {floor:.3e}"

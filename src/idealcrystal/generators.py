@@ -64,7 +64,9 @@ def _ball_points(B: np.ndarray, inv: np.ndarray, radius: float):
     """_lattice_points of the ball |t| <= radius; ConfigError when one of
     its coordinate bounds (crystal._coord_bounds) passes 2^62, short of the
     int64 range that the enumeration casts its rows to."""
-    if not radius * float(np.linalg.norm(inv, axis=0).max()) < 2.0**62:
+    with np.errstate(over="ignore"):  # inf fails the bound
+        bound = radius * float(np.linalg.norm(inv, axis=0).max())
+    if not bound < 2.0**62:
         raise ConfigError(
             f"radius {radius:g} needs lattice coordinates past int64"
         )

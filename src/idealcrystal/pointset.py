@@ -5,12 +5,15 @@ be the restriction of some larger point set to the ball ``|x| <= radius``
 about the origin. The container is immutable, keeps its points in
 canonical lexicographic order (so every tie-break in the package is
 deterministic), and builds its KD-tree (``tree``) only when a query asks
-for one. Construction refuses two points within tol_eq by a sweep of the
-points sorted along one direction, with a tree query only among the points
-the sweep cannot separate; the nearest-neighbour distance of every point
+for one. Construction sorts the points by one stable argsort of the
+first coordinate; only runs of tied first coordinates whose rows are out
+of order on the others are sorted again (``_canonical_order``). It then
+refuses two points within tol_eq by reading the gaps between the sorted
+first coordinates; only the points next to a gap within tol_eq go on to a
+sweep along one direction, and a tree query is made only among the points
+that sweep cannot separate. The nearest-neighbour distance of every point
 (``nn_distances``, behind ``min_separation``) is computed only when asked
-for. Input already in canonical order (as ``serialize`` writes it) is
-copied, not re-sorted; a non-finite radius is refused.
+for; a non-finite radius is refused.
 
 JSON text is parsed by orjson, whose correctly rounded number parser
 gives the floats the standard library's ``json`` gives, several times
@@ -26,13 +29,15 @@ JSON point lists are converted column-wise: one numpy conversion takes a
 well-formed list, and only a list it cannot take is scanned row by row,
 to name the first bad row.
 
-Both formats are written from one rendering of the rows (``_rows_json``):
-orjson formats the float64 array directly, with no Python float per
-coordinate, in the shortest round-trip digits that ``repr`` writes. It
-writes another notation only for a coordinate with 0 < |x| < 1e-4 or
-|x| >= 1e16 (``0.00001`` and ``1e16`` for ``repr``'s ``1e-05`` and
-``1e+16``), so the rows holding one go through ``json.dumps`` instead,
-and the text is the one a per-coordinate ``repr`` gives.
+Both formats are written from one rendering of the rows
+(``_render_rows``): orjson formats the float64 array in blocks of
+``_BLOCK_ROWS`` rows, with no Python float per coordinate, in the shortest
+round-trip digits that ``repr`` writes. It writes another notation only
+for a coordinate with 0 < |x| < 1e-4 or |x| >= 1e16 (``0.00001`` and
+``1e16`` for ``repr``'s ``1e-05`` and ``1e+16``), so the rows holding one
+go through ``json.dumps`` instead, and the text is the one a
+per-coordinate ``repr`` gives. Each block is cut to the format as bytes,
+and the blocks are joined and decoded once.
 
 Parsing (both formats) and the ``json.dumps`` rows of rendering run with
 Python's cyclic garbage collector paused (``_util.gc_paused``). The
@@ -69,23 +74,41 @@ TOL_EQ = 1e-9
 
 
 def _canonical_order(pts: np.ndarray) -> np.ndarray:
-    """Indices sorting rows lexicographically (first coordinate primary)."""
+    """Indices sorting finite rows lexicographically, first coordinate
+    primary: exactly the permutation of ``np.lexsort`` with the first
+    column as its last key.
+
+    One stable argsort of the first coordinate places every row whose first
+    coordinate no other row shares. Rows that share one stay in input
+    order, as in lexsort, so a run of them needs no more work when its
+    rows already rise on the other coordinates, as an axis-aligned grid's
+    do when it is written in canonical order. Only the runs that do not are
+    sorted again, by one lexsort of their rows with the run as primary key.
+    """
     if len(pts) == 0:
         return np.zeros(0, dtype=np.intp)
-    keys = tuple(pts[:, k] for k in range(pts.shape[1] - 1, -1, -1))
-    return np.lexsort(keys)
-
-
-def _in_canonical_order(pts: np.ndarray) -> bool:
-    """Whether consecutive rows are already lexicographically non-decreasing,
-    so the stable sort of ``_canonical_order`` would leave them in place."""
-    if len(pts) < 2:
-        return True
-    a, b = pts[:-1], pts[1:]
-    differs = a != b
-    first = differs.argmax(axis=1)
-    rows = np.arange(len(a))
-    return bool(np.all(~differs[rows, first] | (a[rows, first] < b[rows, first])))
+    first = pts[:, 0]
+    order = np.argsort(first, kind="stable")
+    first = first.take(order)
+    tied = first[1:] == first[:-1]
+    if pts.shape[1] == 1 or not tied.any():
+        return order
+    # the rows in that order (input already in it is read in place) and
+    # the tied neighbours among them whose other coordinates fall
+    rows = (pts if np.array_equal(order, np.arange(len(order)))
+            else pts.take(order, axis=0))
+    past = np.zeros(len(tied), dtype=bool)
+    for k in range(pts.shape[1] - 1, 0, -1):
+        a, b = rows[:-1, k], rows[1:, k]
+        past = (a > b) | ((a == b) & past)
+    past &= tied
+    if not past.any():
+        return order
+    run = np.concatenate([[0], np.cumsum(~tied)])
+    redo = np.flatnonzero(np.isin(run, run[1:][past]))
+    keys = [rows[redo, k] for k in range(pts.shape[1] - 1, 0, -1)]
+    order[redo] = order[redo][np.lexsort([*keys, run[redo]])]
+    return order
 
 
 class WindowedSet:
@@ -104,12 +127,16 @@ class WindowedSet:
         serialization; any other type raises ConfigError.
 
     The points are stored in canonical lexicographic order, in an array
-    the container owns: input already in that order is copied, other
-    input is sorted. The caller's array is never aliased or frozen.
-    Two points closer than tol_eq raise DuplicatePoint; the check costs
-    one sort of the points along a fixed direction, in O(n) memory, and
+    the container owns, gathered by the permutation of
+    ``_canonical_order``: one stable argsort of the first coordinate, and
+    a second sort only for runs of tied first coordinates out of order on
+    the others. The caller's array is never aliased or frozen. Two points
+    closer than tol_eq raise DuplicatePoint; the check reads the gaps
+    between the sorted first coordinates, which settle a window whose
+    first coordinates are spread out, and sweeps along a second direction
+    only the points next to a gap within tol_eq. It takes O(n) memory and
     builds neither a tree over the whole window nor a nearest-neighbour
-    table unless the points crowd together along that direction.
+    table unless the points crowd together along both directions.
     """
 
     def __init__(self, points, radius=None, label: str = "", *, _trusted=False):
@@ -124,7 +151,7 @@ class WindowedSet:
             raise ParseError("coordinates must be finite (no NaN or infinity)")
 
         if not _trusted:
-            pts = pts.copy() if _in_canonical_order(pts) else pts[_canonical_order(pts)]
+            pts = pts.take(_canonical_order(pts), axis=0)
         pts = np.ascontiguousarray(pts)
         pts.flags.writeable = False
         self.points = pts
@@ -173,36 +200,53 @@ class WindowedSet:
     def _has_duplicate(self) -> bool:
         """Whether two points lie closer than tol_eq.
 
-        Exact copies are adjacent rows in canonical order and are found
-        first: the tree cannot split copies apart, so a query among m of
-        them would scan all m once per copy. The rest are projected on the
-        unit vector u along (sqrt 2, sqrt 3, ..., sqrt(p + 1)), whose
-        components are rationally independent, so no integer vector
-        projects to zero and an axis-aligned grid, whose rows share whole
-        slabs of coordinates, spreads out along u. Two points closer than tol_eq are closer than
-        tol_eq along u, so every gap between consecutive projections from
-        one to the other is at most tol_eq, plus the rounding of the
-        projections (a few ulps of max |a|). Only the points next to such a
-        gap go into a tree, with one query bounded at tol_eq: a pair that
-        query finds has the distance the unbounded query of nn_distances
-        gives it, and a crystal usually leaves no point to query. However
-        many points crowd together, memory stays O(n).
+        The first coordinates, in canonical order, are read first. Two
+        points closer than tol_eq have first coordinates closer than
+        tol_eq, so every gap between consecutive first coordinates from one
+        to the other is at most tol_eq (rounding of a difference cannot
+        carry it past). When every gap exceeds the slack below, the check
+        is done; a crystal in general position ends here. Otherwise only
+        the rows next to a small gap can hold such a pair, and they go on
+        in canonical order.
+
+        Exact copies among them are adjacent rows and are found next: the
+        tree cannot split copies apart, so a query among m of them would
+        scan all m once per copy. The rest are projected on the unit vector
+        u along (sqrt 2, sqrt 3, ..., sqrt(p + 1)), whose components are
+        rationally independent, so no integer vector projects to zero and
+        an axis-aligned grid, whose rows share whole slabs of coordinates,
+        spreads out along u. The same gap argument holds along u, plus the
+        rounding of the projections (a few ulps of max |a|). Only the
+        points next to such a gap go into a tree, with one query bounded
+        at tol_eq: a pair that query finds has the distance the unbounded
+        query of nn_distances gives it. However many points crowd
+        together, memory stays O(n).
         """
+        rounding = 4 * (self.dim + 1) * np.finfo(np.float64).eps
+        slack = TOL_EQ * (1 + 1e-9) + rounding * float(self._norms.max())
         pts = self.points
-        if np.all(pts[1:] == pts[:-1], axis=1).any():
+        close = np.diff(pts[:, 0]) <= slack
+        if not close.any():
+            return False
+        near = np.zeros(len(pts), dtype=bool)
+        near[:-1] = close
+        near[1:] |= close
+        pts = pts.compress(near, axis=0)
+        copy = pts[1:, 0] == pts[:-1, 0]
+        for k in range(1, self.dim):
+            copy &= pts[1:, k] == pts[:-1, k]
+        if copy.any():
             return True
         u = np.sqrt(np.arange(2.0, self.dim + 2.0))
         proj = pts @ (u / np.linalg.norm(u))
         order = np.argsort(proj)
-        rounding = 4 * (self.dim + 1) * np.finfo(np.float64).eps
-        slack = TOL_EQ * (1 + 1e-9) + rounding * float(self._norms.max())
         close = np.diff(proj[order]) <= slack
         if not close.any():
             return False
         member = np.zeros(len(pts), dtype=bool)
         member[order[:-1][close]] = True
         member[order[1:][close]] = True
-        chain = pts[member]
+        chain = pts.compress(member, axis=0)
         d, _ = cKDTree(chain).query(
             chain, k=2, distance_upper_bound=TOL_EQ * (1 + 1e-9)
         )
@@ -439,35 +483,43 @@ def _json_rows(raw: list, dim: int | None) -> np.ndarray:
 _REPR_BELOW, _REPR_FROM = 1e-4, 1e16
 
 
-def _rows_json(pts: np.ndarray, sep: str) -> str:
-    """The rows of ``pts`` as JSON with ``sep`` between items,
-    ``[[x<sep>y]<sep>[x<sep>y]]``, each coordinate written as ``repr``
-    writes it.
+#: Rows per orjson call when rendering. The text of one block stays in
+#: cache while it is cut to the format, where a pass over the whole text of
+#: a large window would not.
+_BLOCK_ROWS = 4096
 
-    orjson renders the array directly (it takes C-contiguous float64
-    rows, as ``WindowedSet`` keeps them). Each run of rows holding a
-    coordinate it would write in another notation than ``repr`` is
-    rendered by ``json.dumps`` instead, from row lists built with the
-    collector paused.
+
+def _render_rows(pts: np.ndarray, format: str) -> str:
+    """The rows of ``pts`` as text, each coordinate written as ``repr``
+    writes it: the JSON list items ``[x, y], [x, y]`` for ``"json"``, the
+    lines ``x,y`` between line breaks for ``"csv"``.
+
+    orjson renders the array in blocks of ``_BLOCK_ROWS`` rows (it takes
+    C-contiguous float64 rows, as ``WindowedSet`` keeps them). Each run of
+    rows holding a coordinate it would write in another notation than
+    ``repr`` is rendered by ``json.dumps`` instead, from row lists built
+    with the collector paused. Each block's text, ``[[x,y],[x,y]]``, is cut
+    to the format as bytes; the blocks are joined and decoded once.
     """
-    def by_orjson(block):
-        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
-        return text.decode().replace(",", sep)
-
     a = np.abs(pts)
     odd = (((a < _REPR_BELOW) & (a != 0)) | (a >= _REPR_FROM)).any(axis=1)
-    if not odd.any():  # the empty window too
-        return by_orjson(pts)
-    cuts = [0, *(np.flatnonzero(odd[1:] != odd[:-1]) + 1), len(pts)]
-    runs = []
+    del a
+    cuts = np.union1d(np.arange(0, len(pts), _BLOCK_ROWS),
+                      np.flatnonzero(odd[1:] != odd[:-1]) + 1).tolist()
+    csv = format == "csv"
+    blocks = []
     with gc_paused():
-        for start, stop in zip(cuts[:-1], cuts[1:]):
+        for start, stop in zip(cuts, cuts[1:] + [len(pts)]):
             block = pts[start:stop]
             if odd[start]:
-                runs.append(json.dumps(block.tolist(), separators=(sep, ":")))
+                text = json.dumps(block.tolist(), separators=(",", ":")).encode()
             else:
-                runs.append(by_orjson(block))
-    return "[" + sep.join(run[1:-1] for run in runs) + "]"
+                text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+            blocks.append(text[2:-2].replace(b"],[", b"\n") if csv
+                          else text[1:-1].replace(b",", b", "))
+    text = (b"\n" if csv else b", ").join(blocks)
+    del blocks
+    return text.decode()
 
 
 def serialize(S: WindowedSet, format: str = "csv", metadata: dict | None = None) -> str:
@@ -482,16 +534,18 @@ def serialize(S: WindowedSet, format: str = "csv", metadata: dict | None = None)
 
     Every coordinate is written in ``repr``'s shortest round-trip digits,
     the text ``json.dumps`` gives for a list of floats. The rows come from
-    one orjson pass over the array (``_rows_json``); only the rows holding
-    a coordinate with 0 < |x| < 1e-4 or |x| >= 1e16, which orjson writes
-    in another notation, go through ``json.dumps``. The header and the
-    ``generator`` record are ``json.dumps`` text: orjson refuses labels
-    with lone surrogates and renders some metadata (non-string keys,
-    integers past 64 bits, NaN) differently.
+    orjson calls on blocks of ``_BLOCK_ROWS`` rows of the array
+    (``_render_rows``), each cut to the format as bytes, then joined and
+    decoded once; only the rows holding a coordinate with 0 < |x| < 1e-4
+    or |x| >= 1e16, which orjson writes in another notation, go through
+    ``json.dumps``. The header and the ``generator`` record are
+    ``json.dumps`` text: orjson refuses labels with lone surrogates and
+    renders some metadata (non-string keys, integers past 64 bits, NaN)
+    differently.
     """
     if format not in ("csv", "json"):
         raise ConfigError(f"unknown format {format!r} (expected 'csv' or 'json')")
-    rows = _rows_json(S.points, "," if format == "csv" else ", ")
+    rows = _render_rows(S.points, format)
     if format == "csv":
         head = ""
         if S.label:
@@ -501,12 +555,11 @@ def serialize(S: WindowedSet, format: str = "csv", metadata: dict | None = None)
             head += f"# generator: {json.dumps(metadata, sort_keys=True)}\n"
         if len(S.points) == 0:
             return head
-        body = rows.replace("],[", "\n")
-        return f"{head}{body[2:-2]}\n"
+        return f"{head}{rows}\n"
     # the header object less its closing brace, then the rows and the record
     head = json.dumps({"dim": S.dim, "radius": S.radius, "label": S.label})
     record = f', "generator": {json.dumps(metadata)}' if metadata else ""
-    return f'{head[:-1]}, "points": {rows}{record}}}\n'
+    return f'{head[:-1]}, "points": [{rows}]{record}}}\n'
 
 
 # -- elementary operations --------------------------------------------------

@@ -84,6 +84,20 @@ def test_generate_unbuildable_window_exits_1(args):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("basis, message", [
+    ("1e200,0;0,1e200", "error: |det| = inf or floor inf overflows float64"),
+    ("1e-300", "error: radius 1 needs lattice coordinates past int64"),
+], ids=["det-overflow", "inverse-overflow"])
+def test_generate_overflowing_basis_exits_1_without_warning(basis, message):
+    # numpy used to print a RuntimeWarning (overflow in det, norm or
+    # multiply) before the error line
+    r = run("generate", "crystal", "--basis", basis, "--radius", "1")
+    assert r.returncode == 1
+    assert r.stderr.startswith(message) and r.stderr.count("\n") == 1, \
+        r.stderr
+    assert r.stdout == ""
+
+
 def test_generate_json_with_metadata(tmp_path):
     out = tmp_path / "set.json"
     r = run("generate", "poisson", "--intensity", "1", "--radius", "30",

@@ -195,6 +195,17 @@ def test_build_lattice_singular():
         build_lattice([[1.0, 0.0], [1.0, 1e-9]])
 
 
+@pytest.mark.parametrize("B", [
+    [[1e200, 0.0], [0.0, 1e200]],  # |det| overflows
+    [[1e200, 0.0], [0.0, 1e-200]],  # |det| = 1, the first row's norm does
+], ids=["det", "row-length"])
+def test_build_lattice_refuses_an_overflowing_determinant_or_floor(B):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="overflows float64"):
+            build_lattice(B)
+
+
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
 def test_build_lattice_det_floor_is_relative_to_the_row_lengths(scale):
     # |det| / (|B_1| |B_2|) = 1 / sqrt(2), whatever the unit of length

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,10 @@ def test_poisson_argument_validation():
     lambda: gen_ideal_crystal([[np.nan]], [[0.0]], 5.0),
     lambda: gen_ideal_crystal([[np.inf, 0.0], [0.0, 1.0]], [[0.0, 0.0]], 5.0),
     lambda: gen_perturbed_lattice([[np.nan]], 0.1, [0.5], 10.0),
+    # a finite basis whose determinant overflows, and one whose inverse's
+    # column norms do: each used to print a numpy RuntimeWarning first
+    lambda: gen_ideal_crystal([[1e200, 0.0], [0.0, 1e200]], [[0.0, 0.0]], 1.0),
+    lambda: gen_ideal_crystal([[1e-300]], [[0.0]], 1.0),
 ], ids=["crystal-inf-radius", "crystal-nan-radius", "crystal-nan-residue",
         "crystal-int64", "perturbed-inf-radius", "perturbed-int64",
         "perturbed-nan-amplitude", "perturbed-nan-freqs", "cut-project-inf-slope",
@@ -252,7 +258,11 @@ def test_poisson_argument_validation():
         "poisson-huge-mean-2d", "poisson-past-array-size-1d",
         "poisson-past-array-size-3d", "cut-project-past-array-size",
         "poisson-negative-seed", "poisson-float-seed", "crystal-nan-basis",
-        "crystal-inf-basis", "perturbed-nan-basis"])
+        "crystal-inf-basis", "perturbed-nan-basis", "crystal-det-overflow",
+        "crystal-inverse-overflow"])
 def test_generators_refuse_what_they_cannot_build(make):
-    with pytest.raises(ConfigError):
-        make()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConfigError):
+            make()
+    assert [str(w.message) for w in caught] == []

@@ -37,8 +37,8 @@ from idealcrystal.pointset import (
     _MAX_DEPTH,
     _SCAN_BLOCK,
     TOL_EQ,
+    _BLOCK_ROWS,
     _canonical_order,
-    _in_canonical_order,
     _json_rows,
     _nesting_depth,
 )
@@ -189,6 +189,77 @@ def test_duplicate_check_matches_a_bounded_whole_window_query(pts):
     assert got == want
 
 
+def _rotated_window(p=3, m=3, seed=0):
+    """A rotated grid: no two points share a first coordinate but the
+    origin's neighbours, none within tol_eq of another."""
+    q = np.linalg.qr(np.random.default_rng(seed).normal(size=(p, p)))[0]
+    return _grid(np.arange(-m, m + 1.0), p) @ q
+
+
+def _no_tree(*args, **kwargs):
+    raise AssertionError("the duplicate check built a tree")
+
+
+def _duplicate_slack(pts):
+    """The slack of _has_duplicate for a window of these points."""
+    p = pts.shape[1]
+    rounding = 4 * (p + 1) * np.finfo(np.float64).eps
+    return TOL_EQ * (1 + 1e-9) + rounding * np.linalg.norm(pts, axis=1).max()
+
+
+@pytest.mark.parametrize("step", [
+    [0.6, 0.5, -0.3],  # first coordinates 0.6 tol_eq apart
+    [0.0, 0.0, 0.9],  # equal first coordinates
+], ids=["apart", "equal"])
+def test_duplicate_pair_in_a_rotated_grid_is_refused(step):
+    pts = _rotated_window()
+    with pytest.raises(DuplicatePoint):
+        WindowedSet(np.vstack([pts, pts[7] + TOL_EQ * np.array(step)]))
+
+
+def test_pair_past_the_slack_of_the_first_coordinates_is_accepted(
+        monkeypatch):
+    # the planted pair's first coordinates lie just past the slack, so the
+    # first gap read ends the check: no tree, although a second pair,
+    # 10 tol_eq apart orthogonally to the sweep direction, has equal
+    # projections and would send the sweep to one
+    pts = _rotated_window()
+    u = _sweep_direction(3)
+    w = np.cross(u, [0.0, 0.0, 1.0])
+    w *= 10 * TOL_EQ / np.linalg.norm(w)
+    step = 1.001 * _duplicate_slack(pts)
+    pts = np.vstack([pts, pts[7] + [step, 0.0, 0.0], pts[20] + w])
+    monkeypatch.setattr("idealcrystal.pointset.cKDTree", _no_tree)
+    S = WindowedSet(pts)
+    assert len(S) == len(pts)
+
+
+@pytest.mark.parametrize("past", [1.001, 1.5])
+def test_pair_past_the_slack_of_the_projections_is_accepted(monkeypatch,
+                                                           past):
+    # equal first coordinates send the pair to the projection sweep; its
+    # projections lie just past the slack, so no tree is built
+    pts = _rotated_window()
+    u = _sweep_direction(3)
+    d = np.array([0.0, u[1], u[2]])
+    d /= np.linalg.norm(d)
+    step = past * _duplicate_slack(pts) / float(d @ u)
+    pts = np.vstack([pts, pts[7] + step * d])
+    with monkeypatch.context() as m:
+        m.setattr("idealcrystal.pointset.cKDTree", _no_tree)
+        S = WindowedSet(pts)
+    assert min_separation(S) == pytest.approx(step, rel=1e-6)
+
+
+def test_pair_just_past_tol_eq_with_equal_first_coordinates_is_accepted():
+    # the projections lie within the slack, so the tree's bounded query
+    # reads the pair's distance, 1.001 tol_eq
+    pts = _rotated_window()
+    pts = np.vstack([pts, pts[7] + [0.0, 0.0, 1.001 * TOL_EQ]])
+    S = WindowedSet(pts)
+    assert min_separation(S) == pytest.approx(1.001 * TOL_EQ, rel=1e-6)
+
+
 _CROWDED = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -231,26 +302,60 @@ def test_points_are_immutable():
 
 def test_canonical_input_is_copied_not_aliased():
     arr = np.array([[-1.0, 0.0], [0.0, -2.0], [0.0, 3.0]])
-    assert _in_canonical_order(arr)
+    assert _canonical_order(arr).tolist() == [0, 1, 2]
     S = WindowedSet(arr, 4.0)
     assert arr.flags.writeable
     arr[0, 0] = 9.0
     assert S.points[0].tolist() == [-1.0, 0.0]
 
 
-def test_in_canonical_order_matches_lexsort():
-    # the order check must say "in order" exactly when the stable sort
-    # leaves the rows where they are; small integer ranges force ties in
-    # every column, and -0.0 must tie with 0.0 as it does in the sort
-    rng = np.random.default_rng(5)
-    for trial in range(300):
-        n, p = int(rng.integers(0, 8)), int(rng.integers(1, 4))
-        pts = rng.integers(-2, 3, size=(n, p)).astype(np.float64)
-        pts[rng.random(size=pts.shape) < 0.2] = -0.0
-        if trial % 2:
-            pts = pts[_canonical_order(pts)]
-        in_place = pts[_canonical_order(pts)].tobytes() == pts.tobytes()
-        assert _in_canonical_order(pts) == in_place, (trial, pts)
+def _lexsort_order(pts):
+    """Reference: np.lexsort with the first column as the primary key."""
+    return np.lexsort(pts.T[::-1]) if len(pts) else np.zeros(0, np.intp)
+
+
+def _grid(g, p):
+    return np.stack(np.meshgrid(*[g] * p, indexing="ij"), -1).reshape(-1, p)
+
+
+@st.composite
+def _order_cases(draw):
+    """Rows in p = 1 to 4: a rotated lattice (first coordinates all
+    distinct but the origin's), an axis-aligned grid (whole slabs share a
+    first coordinate) or small integers (ties in every column), with zeros
+    turned to -0.0 at random, exact copies appended, in any row order."""
+    p = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["rotated", "grid", "small"]))
+    if kind == "small":
+        pts = rng.integers(-2, 3, size=(draw(st.integers(0, 40)), p))
+        pts = pts.astype(np.float64)
+    else:
+        pts = _grid(np.arange(-3.0, 4.0)[:2 * draw(st.integers(1, 3)) + 1], p)
+        if kind == "rotated":
+            pts = pts @ np.linalg.qr(rng.normal(size=(p, p)))[0]
+    pts[(pts == 0) & (rng.random(pts.shape) < 0.5)] = -0.0
+    if len(pts) and draw(st.booleans()):
+        pts = np.vstack([pts, pts[rng.integers(0, len(pts), size=3)]])
+    arrange = draw(st.sampled_from(["built", "shuffled", "canonical",
+                                    "reversed"]))
+    if arrange == "shuffled":
+        pts = pts[rng.permutation(len(pts))]
+    elif arrange == "canonical":
+        pts = pts[_lexsort_order(pts)]
+    elif arrange == "reversed":
+        pts = pts[_lexsort_order(pts)[::-1]]
+    return pts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_order_cases())
+def test_canonical_order_matches_lexsort(pts):
+    # the permutation itself, not only the sorted rows: rows that tie on
+    # every coordinate (copies, -0.0 beside 0.0) must keep input order
+    order = _canonical_order(pts)
+    assert order.dtype == np.intp
+    assert order.tolist() == _lexsort_order(pts).tolist()
 
 
 def test_nonfinite_radius_rejected():
@@ -590,6 +695,63 @@ def test_rendering_matches_repr_on_float64_bit_patterns(window, label, metadata)
     S = WindowedSet(pts, label=label, _trusted=True)
     for fmt in ("json", "csv"):
         assert serialize(S, fmt, metadata) == _reference_text(S, fmt, metadata)
+
+
+def _block_rows(n, p, odd_at, seed):
+    """n rows of p ordinary coordinates with an odd-notation coordinate
+    (below 1e-4 or from 1e16 on, alternately) in the rows odd_at."""
+    rows = np.random.default_rng(seed).normal(size=(n, p)) * 100.0
+    for k, i in enumerate(odd_at):
+        rows[i, k % p] = (3e-7, -1.5e17)[k % 2]
+    return rows
+
+
+_B = _BLOCK_ROWS
+_N = 2 * _B + 907
+
+
+def _assert_same_text(got, want):
+    """got == want, naming the first difference (a diff of two texts of
+    megabytes would take minutes)."""
+    if got != want:
+        i = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        raise AssertionError(f"texts differ at {i}: {got[i - 40:i + 40]!r} "
+                             f"!= {want[i - 40:i + 40]!r}")
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("odd_at", [
+    [],
+    [0, _N - 1],
+    [_B - 1, _B, 2 * _B],
+    [0, *range(_B - 3, _B + 3), 2 * _B - 1, _N - 1],
+    range(_B - 2, _N),
+    range(_N),
+], ids=["none", "first-last", "boundaries", "runs", "tail", "all"])
+def test_rendering_across_blocks_matches_repr(p, odd_at):
+    # more than two blocks, odd-notation rows on and around block
+    # boundaries, alone, in runs that cross them and in the whole window
+    S = WindowedSet(_block_rows(_N, p, odd_at, p), label="x",
+                    _trusted=True)
+    for fmt in ("json", "csv"):
+        _assert_same_text(serialize(S, fmt), _reference_text(S, fmt))
+
+
+@pytest.mark.parametrize("n", [_B - 1, _B, _B + 1, 2 * _B])
+def test_rendering_at_whole_blocks_matches_repr(n):
+    S = WindowedSet(_block_rows(n, 2, [0, n - 1], n), _trusted=True)
+    for fmt in ("json", "csv"):
+        _assert_same_text(serialize(S, fmt), _reference_text(S, fmt))
+
+
+def test_rendering_the_empty_window():
+    S = WindowedSet(np.zeros((0, 2)))
+    assert serialize(S, "json") == _reference_text(S, "json")
+    assert serialize(S, "csv") == _reference_text(S, "csv") == ""
+    S = WindowedSet(np.zeros((0, 2)), label="x")
+    assert serialize(S, "csv", _METADATA) == _reference_text(S, "csv",
+                                                            _METADATA)
 
 
 @pytest.mark.parametrize(
