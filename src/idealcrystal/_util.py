@@ -4,6 +4,17 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import math
+
+from .errors import ConfigError
+
+
+def finite_positive(name: str, value) -> float:
+    """value as a float; ConfigError unless it is finite and positive."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be finite and positive, got {value:g}")
+    return value
 
 
 @contextlib.contextmanager

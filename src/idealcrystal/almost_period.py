@@ -3,11 +3,12 @@
 The almost-period test is the bijection criterion: tau is an epsilon-almost
 period of the window when the core (points that cannot be pushed past the
 window edge by tau) injects into the window with every displacement
-|a + tau - b| < epsilon. Candidates are the differences c - a from one
-anchor a, the window point nearest the origin (a period T with |T| <= r
-maps a onto a window point). snap_to_period replaces an epsilon-almost
-period by the unique nearby anchor difference and accepts it only if it
-translates the whole core exactly.
+|a + tau - b| < epsilon; one bipartite matching on the pairs closer than
+epsilon decides it at every epsilon. Candidates are the differences c - a
+from one anchor a, the window point nearest the origin (a period T with
+|T| <= r maps a onto a window point). snap_to_period replaces an
+epsilon-almost period by the unique nearby anchor difference and accepts
+it only if it translates the whole core exactly.
 
 Recovery (crystal.recover_crystal) calls neither is_almost_period nor
 snap_to_period: its candidates are anchor differences already, so it
@@ -21,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.spatial import cKDTree
 
+from ._util import finite_positive
 from .errors import (
     AmbiguousSnap,
     ConfigError,
@@ -32,7 +35,7 @@ from .errors import (
 # unused here since candidates come from the anchor; kept importable under
 # this module, where the benchmark tracer (perfbench/spans.py) wraps it
 from .geometry import difference_vectors  # noqa: F401
-from .pointset import TOL_EQ, WindowedSet, min_separation
+from .pointset import TOL_EQ, WindowedSet
 
 #: Exact-period residual budget: one float addition of rounding on top of
 #: the point-equality tolerance.
@@ -83,10 +86,20 @@ class FailureWitness:
     distance: float
 
 
-def _frozen(a) -> np.ndarray:
-    out = np.array(a, dtype=np.float64)
+def _frozen(a, dtype=np.float64) -> np.ndarray:
+    out = np.array(a, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def _vector(name: str, v, S: WindowedSet) -> np.ndarray:
+    """v as a flat float64 vector; ConfigError unless finite, of S.dim."""
+    v = np.asarray(v, dtype=np.float64).reshape(-1)
+    if len(v) != S.dim:
+        raise ConfigError(f"{name} has dim {len(v)}, window has dim {S.dim}")
+    if not np.isfinite(v).all():
+        raise ConfigError(f"{name} must be finite")
+    return v
 
 
 def _core_indices(S: WindowedSet, margin: float) -> np.ndarray:
@@ -97,16 +110,16 @@ def _core_indices(S: WindowedSet, margin: float) -> np.ndarray:
 def is_almost_period(S: WindowedSet, tau, epsilon: float):
     """Bijection test for tau at tolerance epsilon on the window core.
 
-    Returns an AlmostPeriodCertificate when a core-saturating matching
-    exists, else a Rejection counting the unmatched core points. The
-    displacement bound is strict (< epsilon).
+    One maximum bipartite matching serves every epsilon. Its edges, the
+    (core point, window point) pairs with |a + tau - b| < epsilon (strict),
+    come from one query of a tree over the shifted core against the
+    window's tree; no nearest-neighbour table of the window is built.
+    Below min_sep/2 the matching is the nearest-neighbour map. Returns an
+    AlmostPeriodCertificate when it saturates the core, else a Rejection
+    counting the unmatched core points.
     """
-    tau = np.asarray(tau, dtype=np.float64).reshape(-1)
-    if len(tau) != S.dim:
-        raise ConfigError(f"tau has dim {len(tau)}, window has dim {S.dim}")
-    epsilon = float(epsilon)
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
+    tau = _vector("tau", tau, S)
+    epsilon = finite_positive("epsilon", epsilon)
     t = float(np.linalg.norm(tau))
     if t + epsilon >= S.radius:
         raise ConfigError(
@@ -115,52 +128,22 @@ def is_almost_period(S: WindowedSet, tau, epsilon: float):
     core = _core_indices(S, t + epsilon)
     if len(core) == 0:
         raise WindowTooSmall("no core points survive the |tau| + epsilon margin")
-    core_radius = S.radius - t - epsilon
     shifted = S.points[core] + tau
-
-    if len(S) >= 2 and epsilon < min_separation(S) / 2:
-        # at most one target per core point and targets cannot collide, so
-        # nearest-neighbour lookup decides the matching outright
-        d, j = S.tree().query(
-            shifted, k=1, distance_upper_bound=epsilon * (1 + 1e-12)
-        )
-        ok = d < epsilon
-        if not ok.all():
-            return Rejection(_frozen(tau), epsilon, len(core),
-                             int((~ok).sum()))
-        matched = np.column_stack([core, j]).astype(np.intp)
-        return AlmostPeriodCertificate(
-            _frozen(tau), epsilon, _frozen_int(matched), float(core_radius),
-            float(d.max()) if len(d) else 0.0,
-        )
-
-    rows, cols = [], []
-    neighborhoods = S.tree().query_ball_point(shifted, epsilon * (1 + 1e-12))
-    for i, cand in enumerate(neighborhoods):
-        for j in sorted(cand):
-            if np.linalg.norm(shifted[i] - S.points[j]) < epsilon:
-                rows.append(i)
-                cols.append(j)
-    graph = sp.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(len(core), len(S))
+    pairs = cKDTree(shifted).sparse_distance_matrix(
+        S.tree(), epsilon * (1 + 1e-12), output_type="ndarray"
     )
+    pairs = pairs[pairs["v"] < epsilon]
+    graph = sp.csr_matrix((np.ones(len(pairs)), (pairs["i"], pairs["j"])),
+                          shape=(len(core), len(S)))
     match = maximum_bipartite_matching(graph, perm_type="column")
     unmatched = int((match < 0).sum())
     if unmatched:
         return Rejection(_frozen(tau), epsilon, len(core), unmatched)
-    targets = S.points[match]
-    disp = np.linalg.norm(S.points[core] + tau - targets, axis=1)
-    matched = np.column_stack([core, match]).astype(np.intp)
-    return AlmostPeriodCertificate(
-        _frozen(tau), epsilon, _frozen_int(matched), float(core_radius),
-        float(disp.max()) if len(disp) else 0.0,
-    )
-
-
-def _frozen_int(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.intp)
-    out.flags.writeable = False
-    return out
+    disp = np.linalg.norm(shifted - S.points[match], axis=1)
+    matched = _frozen(np.column_stack([core, match]), np.intp)
+    return AlmostPeriodCertificate(_frozen(tau), epsilon, matched,
+                                   float(S.radius - t - epsilon),
+                                   float(disp.max()))
 
 
 def candidate_almost_periods(
@@ -190,9 +173,7 @@ def _check_anchor_core(S: WindowedSet, epsilon: float, r_min: float,
                        r_max: float) -> None:
     """The argument checks of candidate_almost_periods: ConfigError for bad
     radii, WindowTooSmall unless the anchor is inside the core for r_max."""
-    epsilon = float(epsilon)
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
+    epsilon = finite_positive("epsilon", epsilon)
     r_min, r_max = float(r_min), float(r_max)
     if not 0 < r_min < r_max:
         raise ConfigError("need 0 < r_min < r_max")
@@ -223,7 +204,8 @@ def _anchor_differences(S: WindowedSet, r_min: float, r_after: float,
     ball = (S.norms() <= S.norms()[anchor_idx] + r_max + 2 * TOL_EQ
             + 1e-12 * S.radius)
     ball[anchor_idx] = False
-    return _annulus_sorted(S.points[ball] - a, r_min, r_max, r_after)
+    return _annulus_sorted(S.points.compress(ball, axis=0) - a, r_min, r_max,
+                           r_after)
 
 
 def _annulus_sorted(vectors: np.ndarray, r_min: float, r_max: float,
@@ -259,10 +241,8 @@ def snap_to_period(
     c - a snaps to itself bit for bit, so recover_crystal, whose candidates
     are all anchor differences, calls verify_exact_period on them directly.
     """
-    tau = np.asarray(tau, dtype=np.float64).reshape(-1)
-    epsilon = float(epsilon)
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
+    tau = _vector("tau", tau, S)
+    epsilon = finite_positive("epsilon", epsilon)
     if len(S) == 0:
         raise WindowTooSmall("cannot snap against an empty window")
 
@@ -288,12 +268,7 @@ def snap_to_period(
             f"snapped vector fails exact verification at point "
             f"{outcome.point.tolist()} (residual {outcome.distance:.3e})"
         )
-    return Period(
-        T=_frozen(T),
-        verified_radius=float(outcome),
-        anchor=_frozen(a),
-        source_tau=_frozen(tau),
-    )
+    return Period(_frozen(T), float(outcome), _frozen(a), _frozen(tau))
 
 
 def verify_exact_period(S: WindowedSet, T, tol_exact: float = TOL_EXACT):
@@ -305,12 +280,8 @@ def verify_exact_period(S: WindowedSet, T, tol_exact: float = TOL_EXACT):
     whole core (recover_crystal's batched probe pass rejects most
     non-periods before they get here).
     """
-    T = np.asarray(T, dtype=np.float64).reshape(-1)
-    if len(T) != S.dim:
-        raise ConfigError(f"T has dim {len(T)}, window has dim {S.dim}")
-    tol_exact = float(tol_exact)
-    if tol_exact <= 0:
-        raise ConfigError("tol_exact must be positive")
+    T = _vector("T", T, S)
+    tol_exact = finite_positive("tol_exact", tol_exact)
     t = float(np.linalg.norm(T))
     if t >= S.radius:
         raise ConfigError(f"|T| = {t:g} must stay below R = {S.radius:g}")

@@ -355,14 +355,15 @@ def _lattice_points(basis: np.ndarray, inv: np.ndarray, radius: float):
     n[:, -1] = np.arange(m) - np.repeat(start - lo, count)
     t = n @ basis
     keep = np.linalg.norm(t, axis=1) <= rho
-    return n[keep], t[keep]
+    return n.compress(keep, axis=0), t.compress(keep, axis=0)
 
 
-def _same_coset(f: np.ndarray, g: np.ndarray, tol: float) -> bool:
+def _same_coset(f: np.ndarray, g: np.ndarray, tol: float):
     """Whether the cell coordinates f and g, each in [0, 1), are equal
-    modulo 1 within tol on every axis."""
+    modulo 1 within tol on every axis; one answer per row of f when f is
+    a stack of rows."""
     d = np.abs(f - g)
-    return bool(np.all(np.minimum(d, 1.0 - d) <= tol))
+    return np.all(np.minimum(d, 1.0 - d) <= tol, axis=-1)
 
 
 def residues(S: WindowedSet, L: Lattice) -> np.ndarray:
@@ -370,7 +371,8 @@ def residues(S: WindowedSet, L: Lattice) -> np.ndarray:
 
     Representatives are chosen smallest |a| first (canonical order on
     ties), reduced to the fundamental cell as B . frac(coords), deduplicated
-    with the wrap-around metric, and returned in lexicographic order.
+    with the wrap-around metric, and returned in lexicographic order. Each
+    kept candidate clears its whole coset from the rest in one pass.
     """
     sigma = float(np.linalg.norm(L.basis, axis=1).sum())
     if S.radius < sigma:
@@ -384,11 +386,13 @@ def residues(S: WindowedSet, L: Lattice) -> np.ndarray:
     fracs = np.mod(pts @ L.inv, 1.0)
     order = np.argsort(S.norms()[cand], kind="stable")
 
-    kept: list[np.ndarray] = []
+    alive = np.ones(len(cand), dtype=bool)
+    kept = []
     for i in order:
-        if not any(_same_coset(fracs[i], g, COORD_TOL) for g in kept):
-            kept.append(fracs[i])
-    out = np.array(kept) @ L.basis
+        if alive[i]:
+            kept.append(i)
+            alive &= ~_same_coset(fracs, fracs[i], COORD_TOL)
+    out = fracs[kept] @ L.basis
     out = np.ascontiguousarray(out[_canonical_order(out)])
     out.flags.writeable = False
     return out
@@ -506,7 +510,7 @@ def verify_decomposition(S: WindowedSet, L: Lattice, F,
     """
     F = np.asarray(F, dtype=np.float64).reshape(-1, S.dim)
     tol_exact = float(tol_exact)
-    if tol_exact <= 0:
+    if not tol_exact > 0:
         raise ConfigError("tol_exact must be positive")
     reach = tol_exact * float(np.linalg.norm(L.inv, axis=0).max())
     if not reach < 0.5:

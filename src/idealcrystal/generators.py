@@ -26,6 +26,7 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
+from ._util import finite_positive
 from .crystal import (COORD_TOL, _lattice_points, _same_coset, _ulp_widened,
                       build_lattice)
 from .errors import (
@@ -39,14 +40,6 @@ from .pointset import TOL_EQ, WindowedSet
 #: The generators refuse a basis with |det| <= _DET_FLOOR * prod |B_j|, a
 #: looser floor than build_lattice's default.
 _DET_FLOOR = 1e-9
-
-
-def _positive(name: str, value) -> float:
-    """value as a float; ConfigError unless it is finite and positive."""
-    value = float(value)
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"{name} must be finite and positive, got {value:g}")
-    return value
 
 
 def _check_array_size(rows: int, row_bytes: int, what: str) -> None:
@@ -89,7 +82,7 @@ def gen_ideal_crystal(basis, F, R: float, label: str = "") -> WindowedSet:
         raise ConfigError("residue set F must not be empty")
     if not np.isfinite(F).all():
         raise ConfigError("residues must be finite")
-    R = _positive("radius", R)
+    R = finite_positive("radius", R)
 
     fracs = np.mod(F @ inv, 1.0)
     for i in range(len(F)):
@@ -105,7 +98,8 @@ def gen_ideal_crystal(basis, F, R: float, label: str = "") -> WindowedSet:
     pieces = []
     for f in F:
         pts = t + f
-        pieces.append(pts[np.linalg.norm(pts, axis=1) <= R + TOL_EQ])
+        keep = np.linalg.norm(pts, axis=1) <= R + TOL_EQ
+        pieces.append(pts.compress(keep, axis=0))
     del t, pts  # before WindowedSet copies and sorts the points
     return WindowedSet(np.concatenate(pieces), R,
                        label or f"crystal(p={p}, |F|={len(F)})")
@@ -132,7 +126,7 @@ def gen_perturbed_lattice(basis, amplitude: float, freqs, R: float,
         raise ConfigError(f"freqs has dim {len(freqs)}, expected {p}")
     if not np.isfinite(freqs).all():
         raise ConfigError("freqs must be finite")
-    R = _positive("radius", R)
+    R = finite_positive("radius", R)
     if amplitude > 0:
         # a basis row is a lattice vector, so the shortest nonzero one lies
         # in the ball of the shortest row's length
@@ -147,7 +141,7 @@ def gen_perturbed_lattice(basis, amplitude: float, freqs, R: float,
 
     n, t = _ball_points(B, inv, _ulp_widened(R + amplitude))
     pts = t + amplitude * np.sin(2 * np.pi * (n @ freqs))[:, None] * u
-    points = pts[np.linalg.norm(pts, axis=1) <= R + TOL_EQ]
+    points = pts.compress(np.linalg.norm(pts, axis=1) <= R + TOL_EQ, axis=0)
     return WindowedSet(points, R, label or f"perturbed(amp={amplitude:g})")
 
 
@@ -165,7 +159,7 @@ def gen_cut_and_project(slope: float, window, R: float,
         raise ConfigError("slope and acceptance interval must be finite")
     if not hi > lo:
         raise EmptyAcceptanceWindow(f"acceptance interval [{lo:g}, {hi:g}) is empty")
-    R = _positive("radius", R)
+    R = finite_positive("radius", R)
 
     span = max(abs(lo), abs(hi))
     M = int(np.ceil((R + abs(slope) * span) / (1 + slope * slope))) + 3
@@ -200,8 +194,8 @@ def gen_poisson(intensity: float, R: float, seed: int, dim: int = 1,
     Seeded and bit-stable: the count is Poisson(intensity * volume) and
     points are uniform in the ball by rejection from the cube.
     """
-    intensity = _positive("intensity", intensity)
-    R = _positive("radius", R)
+    intensity = finite_positive("intensity", intensity)
+    R = finite_positive("radius", R)
     if dim < 1:
         raise ConfigError("dim must be at least 1")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):

@@ -106,7 +106,7 @@ def difference_vectors(S: WindowedSet, cutoff: float) -> DifferenceSet:
     or more raises DegenerateGap.
     """
     cutoff = float(cutoff)
-    if cutoff <= 0:
+    if not cutoff > 0:
         raise ConfigError("cutoff must be positive")
     if (cutoff + TOL_EQ) / TOL_EQ >= 2.0 ** 63:
         raise DegenerateGap(
@@ -195,7 +195,7 @@ def denseness_radius(S: WindowedSet, core_margin: float) -> float:
     value exactly.
     """
     core_margin = float(core_margin)
-    if core_margin < 0:
+    if not core_margin >= 0:
         raise ConfigError("core_margin must be non-negative")
     if len(S) < 2:
         raise TooFewPoints("denseness radius needs at least 2 points")
@@ -248,7 +248,7 @@ def finite_type_gap(S: WindowedSet, D: float) -> TypeGapReport:
     the pair count, and with it that array, still grows as O(n^2).
     """
     D = float(D)
-    if D <= 0:
+    if not D > 0:
         raise ConfigError("D must be positive")
     V = difference_vectors(S, D + 1.0)
     if len(V) < 2:

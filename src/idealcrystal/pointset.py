@@ -573,7 +573,8 @@ def window_restrict(S: WindowedSet, r: float) -> WindowedSet:
     mask = S.norms() <= r + TOL_EQ
     if not mask.any():
         raise EmptyWindow(f"no points with |a| <= {r:g}")
-    return WindowedSet(S.points[mask], min(r, S.radius), S.label, _trusted=True)
+    return WindowedSet(S.points.compress(mask, axis=0), min(r, S.radius),
+                       S.label, _trusted=True)
 
 
 def min_separation(S: WindowedSet) -> float:

@@ -2,8 +2,9 @@
 
 import numpy as np
 
+from idealcrystal.crystal import COORD_TOL
 from idealcrystal.errors import ConfigError, WindowTooSmall
-from idealcrystal.pointset import WindowedSet
+from idealcrystal.pointset import WindowedSet, _canonical_order
 
 
 class CoreTooLarge(Exception):
@@ -49,3 +50,28 @@ def brute_force_almost_period(S: WindowedSet, tau, epsilon: float) -> bool:
         return False
 
     return assign(0)
+
+
+def residues_by_coset_loop(S: WindowedSet, L) -> np.ndarray:
+    """Reference for crystal.residues: each candidate, smallest |a| first,
+    is compared with every representative kept so far, one pair at a time,
+    under the wrap-around metric on cell coordinates."""
+    sigma = float(np.linalg.norm(L.basis, axis=1).sum())
+    if S.radius < sigma:
+        raise WindowTooSmall(f"window radius {S.radius:g} below {sigma:g}")
+    cand = np.flatnonzero(S.norms() < sigma)
+    if len(cand) == 0:
+        return np.zeros((0, S.dim))
+    fracs = np.mod(S.points[cand] @ L.inv, 1.0)
+    kept = []
+    for i in np.argsort(S.norms()[cand], kind="stable"):
+        same = False
+        for g in kept:
+            d = np.abs(fracs[i] - g)
+            if np.all(np.minimum(d, 1.0 - d) <= COORD_TOL):
+                same = True
+                break
+        if not same:
+            kept.append(fracs[i])
+    out = np.array(kept) @ L.basis
+    return out[_canonical_order(out)]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from idealcrystal import (
     AlmostPeriodCertificate,
@@ -21,12 +22,17 @@ from idealcrystal import (
     TOL_EQ,
     WindowTooSmall,
     WindowedSet,
+    build_lattice,
     candidate_almost_periods,
+    denseness_radius,
     difference_vectors,
+    finite_type_gap,
     gen_ideal_crystal,
     gen_perturbed_lattice,
     is_almost_period,
+    min_separation,
     snap_to_period,
+    verify_decomposition,
     verify_exact_period,
 )
 from idealcrystal.almost_period import _anchor_differences
@@ -102,8 +108,8 @@ def test_window_too_small():
 
 
 def test_matches_bruteforce_small_cores():
-    # both tolerance regimes (nearest-neighbour and full matching) against
-    # the exhaustive injection search
+    # epsilon on both sides of min_sep/2, where the matching is and is not
+    # the nearest-neighbour map, against the exhaustive injection search
     agree = 0
     for seed in range(120):
         rng = np.random.default_rng(seed)
@@ -158,6 +164,52 @@ def test_tau_sign_symmetry():
         assert isinstance(fwd, AlmostPeriodCertificate) == isinstance(
             bwd, AlmostPeriodCertificate
         ), seed
+
+
+def _jittered_plane(R=25.0, amplitude=0.02):
+    g = np.arange(-np.ceil(R), np.ceil(R) + 1)
+    pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    pts = pts[np.linalg.norm(pts, axis=1) <= R - 2 * amplitude]
+    rng = np.random.default_rng(5)
+    return WindowedSet(pts + rng.uniform(-amplitude, amplitude, pts.shape), R)
+
+
+def _no_table(self):
+    raise AssertionError("nearest-neighbour table built")
+
+
+@pytest.mark.parametrize("tau, eps, accepted", [
+    ([1.0, 0.0], 0.1, True), ([1.0, 0.0], 0.03, False),
+    ([0.5, 0.0], 0.1, False), ([1.0, 1.0], 0.6, True),
+    ([0.5, 0.5], 0.6, False),
+])
+def test_matching_builds_no_neighbour_table(tau, eps, accepted, monkeypatch):
+    # epsilon on both sides of min_sep/2 (about 0.48): one matching answers
+    # without the window's nearest-neighbour table
+    S = _jittered_plane()
+    monkeypatch.setattr(WindowedSet, "nn_distances", _no_table)
+    got = is_almost_period(S, tau, eps)
+    assert isinstance(got, AlmostPeriodCertificate) == accepted
+
+
+@pytest.mark.parametrize("tau, eps", [
+    ([1.0, 0.0], 0.1), ([0.0, -2.0], 0.1), ([1.0, 0.0], 0.03),
+    ([1.0, 1.0], 0.04), ([0.5, 0.0], 0.1),
+])
+def test_matching_below_half_separation_is_nearest_neighbour(tau, eps):
+    S = _jittered_plane()
+    assert len(S) > 1900 and eps < min_separation(S) / 2
+    tau = np.array(tau)
+    core = np.flatnonzero(S.norms() <= S.radius - np.linalg.norm(tau) - eps)
+    d, j = cKDTree(S.points).query(S.points[core] + tau, k=1)
+    got = is_almost_period(S, tau, eps)
+    if isinstance(got, AlmostPeriodCertificate):
+        assert (d < eps).all()
+        assert got.matched[:, 0].tolist() == core.tolist()
+        assert got.matched[:, 1].tolist() == j.tolist()
+    else:
+        assert 0 < got.unmatched == int((d >= eps).sum())
+        assert got.core_size == len(core)
 
 
 def test_brute_force_core_cap():
@@ -483,3 +535,38 @@ def test_snap_matches_verify_over_random_drift():
         k = int(rng.integers(1, 6))
         P = snap_to_period(S, [2.0 * k + drift], 0.45)
         assert P.T.tolist() == [2.0 * k]
+
+
+# -- argument checks ------------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    lambda S: is_almost_period(S, [NAN], 0.2),
+    lambda S: is_almost_period(S, [INF], 0.2),
+    lambda S: is_almost_period(S, [1.0], NAN),
+    lambda S: snap_to_period(S, [NAN], 0.2),
+    lambda S: snap_to_period(S, [1.0], NAN),
+    lambda S: snap_to_period(S, [1.0], INF),
+    lambda S: snap_to_period(S, [1.0, 0.0], 0.2),
+    lambda S: verify_exact_period(S, [NAN]),
+    lambda S: verify_exact_period(S, [-INF]),
+    lambda S: verify_exact_period(S, [1.0], NAN),
+    lambda S: verify_exact_period(S, [1.0], INF),
+    lambda S: candidate_almost_periods(S, NAN, 0.5, 3.0),
+    lambda S: candidate_almost_periods(S, INF, 0.5, 3.0),
+    lambda S: difference_vectors(S, NAN),
+    lambda S: finite_type_gap(S, NAN),
+    lambda S: denseness_radius(S, NAN),
+    lambda S: verify_decomposition(S, build_lattice([[1.0]]), [[0.0]], NAN),
+], ids=["ap-tau-nan", "ap-tau-inf", "ap-eps-nan", "snap-tau-nan",
+        "snap-eps-nan", "snap-eps-inf", "snap-tau-dim", "verify-T-nan",
+        "verify-T-inf", "verify-tol-nan", "verify-tol-inf",
+        "candidates-eps-nan", "candidates-eps-inf", "differences-cutoff-nan",
+        "gap-D-nan", "denseness-margin-nan", "decomposition-tol-nan"])
+def test_non_finite_lengths_are_refused(call):
+    # NaN fails every positivity check; a vector, and a tolerance of the
+    # almost-period tests, must also be finite
+    with pytest.raises(ConfigError):
+        call(integer_line())

@@ -52,6 +52,7 @@ from idealcrystal import (
 from idealcrystal.almost_period import TOL_EXACT, candidate_almost_periods
 from idealcrystal.config import RunConfig
 from idealcrystal.crystal import (
+    COORD_TOL,
     _coord_bounds,
     _count_targets,
     _lattice_points,
@@ -59,6 +60,7 @@ from idealcrystal.crystal import (
     _ulp_widened,
 )
 from idealcrystal.pointset import TOL_EQ
+from oracles import residues_by_coset_loop
 
 
 def disc_lattice(R=20.0):
@@ -340,6 +342,31 @@ def test_residues_window_too_small():
     S = WindowedSet([[0.0], [1.0], [-1.0]], 1.0)
     with pytest.raises(WindowTooSmall):
         residues(S, build_lattice([[2.0]]))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_residues_match_the_coset_loop_across_the_cell_wrap(p):
+    # three cosets, one with cell coordinates on the wrap 0 = 1 and one
+    # just below it; each lattice point of a coset appears four times, each
+    # copy moved off it by up to twice the coset tolerance, so coordinates
+    # fall on either side of the wrap and which points a kept
+    # representative clears depends on the order the candidates come in
+    rng = np.random.default_rng(p)
+    B = np.eye(p) + rng.uniform(-0.2, 0.2, (p, p))
+    L = build_lattice(B)
+    sigma = float(np.linalg.norm(B, axis=1).sum())
+    offsets = np.array([np.zeros(p), np.full(p, 1 - 3 * COORD_TOL),
+                        rng.uniform(0.2, 0.8, p)])
+    n = np.unique(rng.integers(-p - 1, p + 2, size=(700, p)), axis=0)
+    cells = np.repeat((n[:, None, :] + offsets).reshape(-1, p), 4, axis=0)
+    cells += rng.uniform(-2 * COORD_TOL, 2 * COORD_TOL, cells.shape)
+    pts = cells @ B
+    R = sigma + 0.5
+    S = WindowedSet(pts[np.linalg.norm(pts, axis=1) <= R], R)
+    got = residues(S, L)
+    want = residues_by_coset_loop(S, L)
+    assert len(got) >= 3
+    assert got.tolist() == want.tolist()
 
 
 # -- verify_decomposition ---------------------------------------------------------
