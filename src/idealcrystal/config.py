@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from ._util import finite_positive
 from .almost_period import TOL_EXACT
 from .errors import ConfigError
 
@@ -30,10 +31,9 @@ class RunConfig:
             raise ConfigError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
             )
-        if not self.tol_exact > 0:
-            raise ConfigError("tol_exact must be positive")
-        if self.r_max is not None and not self.r_max > 0:
-            raise ConfigError("r_max must be positive")
+        finite_positive("tol_exact", self.tol_exact)
+        if self.r_max is not None:
+            finite_positive("r_max", self.r_max)
         return self
 
     def echo(self) -> dict:

@@ -1,18 +1,9 @@
 """Lattice arithmetic, residue extraction, and crystal recovery.
 
-The pipeline mirrors the constructive argument: measure the denseness
-radius and the difference-set gap near the origin, harvest candidate
-translations as the differences c - a from one anchor a near the origin (a
-period T with |T| <= r maps a onto a window point), reject most with one
-batched probe pass per ladder step and keep the rest that pass exact
-verification on a subwindow core. A candidate is in A - A already, so it is
-verified as it stands. The verified periods are closed into one running
-lattice by rational refinement, seeded by the shortest independent ones
-once they span p directions. The strategy only gates the verdict:
-paper-cone also needs a verified period inside every axis cone, whose
-diagonal dominance certifies independence. Once the ladder stops, residues
-are cut near the origin and both inclusions of A = L + F are verified on
-the window, once per run.
+recover_crystal follows the constructive argument as a pipeline of stage
+functions, each of which returns its result or refuses with its stage:
+_input_scales, _type_gap, _ladder_radii and _run_ladder, then residues and
+verify_decomposition on the lattice that the ladder closes.
 """
 
 from __future__ import annotations
@@ -602,7 +593,7 @@ def verify_decomposition(S: WindowedSet, L: Lattice, F,
 
 def _greedy_basis(periods: list[Period], p: int) -> np.ndarray | None:
     """The first p independent periods in the caller's order, which
-    recover_crystal keeps shortest first; in one dimension made positive.
+    _run_ladder keeps shortest first; in one dimension made positive.
 
     A period joins the basis only if its direction keeps a sine of at
     least _ANGLE_FLOOR against the span chosen so far.
@@ -705,85 +696,42 @@ def _probe_rejections(S: WindowedSet, cands: np.ndarray,
     return out
 
 
-def _near_lattice(L: Lattice | None, cands: np.ndarray,
-                  eps: float) -> np.ndarray:
-    """Mask of the candidates within eps/2 of L; none while there is no L."""
-    if L is None:
-        return np.zeros(len(cands), dtype=bool)
-    return L.distance(cands) < eps / 2
+class _Refused(Exception):
+    """A stage's refusal, which recover_crystal returns as evidence."""
+
+    def __init__(self, stage: str, reason: str, witnesses=None):
+        super().__init__(reason)
+        self.stage, self.reason, self.witnesses = stage, reason, witnesses
 
 
-def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
-    """Full recovery pipeline; CrystalDecomposition or NoCrystalEvidence.
-
-    A window of fewer than 2 points stages at input: D and the minimum
-    separation need a pair. They cap epsilon and set the candidate annulus
-    floor r_min = max(min_sep/2, 4 tol_exact), and are measured on the
-    window points nearest the origin (_local_scales, core margin R/10),
-    the finite-type gap on a ball about it (_anchor_ball). The hypotheses
-    they test hold uniformly in a crystal; a window broken away from the
-    origin is refused by the decomposition check, which reads the whole
-    window.
-
-    Candidates are the anchor differences c - a, a the window point nearest
-    the origin: a period T with |T| <= r maps a onto a window point. Each
-    ladder step harvests its own annulus when it starts, and each candidate
-    is checked exactly once, by verify_exact_period alone (an
-    anchor difference is the vector an almost period would snap to, so it is
-    its own Period). The run keeps one lattice, the closure of the verified
-    periods: seeded by the shortest independent ones once they span p
-    directions, refined by each new one, and checked as it stands. A
-    candidate within epsilon/2 of it is skipped unless it lies in the cone
-    of a paper-cone axis that still has no period; both masks cover the
-    whole step and are redone after each verified period. Each step first
-    probes the other candidates in one batched query (_probe_rejections);
-    only those no probe rejects get the full scan. Candidate radii escalate
-    (doubling from max(4D, 3 r_min) up to R/2) until the lattice exists,
-    every paper-cone axis cone holds a period, and the swept annulus covers
-    the covering radius of the lattice (any period missing from the group
-    would have a coset representative that short), so a skewed or composite
-    period group is closed before the verdict. An explicit r_max disables
-    escalation.
-
-    The ladder only grows the lattice. The verdict is decided once, after
-    it: the strategy's gate (paper-cone also needs a period in every axis
-    cone), then residues and one decomposition check on the full window.
-    """
-    cfg = (config or RunConfig()).validate()
-    diag: dict = {"strategy": cfg.strategy, "n_points": len(S)}
+def _input_scales(S: WindowedSet, diag: dict) -> tuple[float, float]:
+    """D and the minimum separation near the origin (_local_scales, core
+    margin R/10); refused at input for fewer than 2 points, fewer than 2
+    measured points in the core, or distances that overflow float64."""
     if len(S) < 2:
-        return NoCrystalEvidence(
-            stage="input",
-            reason=f"{len(S)} points: D and the minimum separation need 2",
-            diagnostics=diag,
-        )
-    p = S.dim
-    R = S.radius
-    margin = R / 10
+        raise _Refused("input", f"{len(S)} points: D and the minimum "
+                       "separation need 2")
+    margin = S.radius / 10
     try:
         D, min_sep = _local_scales(S, margin)
     except (MarginTooLarge, TooFewPoints):
-        return NoCrystalEvidence(
-            stage="input",
-            reason=(
-                f"fewer than 2 of the window points nearest the origin lie "
-                f"within 0.9 R = {R - margin:g} of it: D cannot be measured"
-            ),
-            diagnostics=diag,
-        )
+        raise _Refused("input", "fewer than 2 of the window points nearest "
+                       f"the origin lie within 0.9 R = {S.radius - margin:g} "
+                       "of it: D cannot be measured")
     if not (math.isfinite(D) and math.isfinite(min_sep)):
         # the neighbour distances square coordinate differences
-        return NoCrystalEvidence(
-            stage="input",
-            reason=(
-                f"nearest-neighbour distances overflow float64: coordinates "
-                f"reach {float(np.abs(S.points).max()):g}, and lengths past "
-                f"about 1e154 cannot be squared"
-            ),
-            diagnostics=diag,
-        )
+        raise _Refused("input", "nearest-neighbour distances overflow "
+                       "float64: coordinates reach "
+                       f"{float(np.abs(S.points).max()):g}, and lengths past "
+                       "about 1e154 cannot be squared")
     diag.update(D=D, core_margin=margin)
+    return D, min_sep
 
+
+def _type_gap(S: WindowedSet, D: float, min_sep: float, diag: dict) -> float:
+    """epsilon: the working tolerance of finite_type_gap on a ball about the
+    origin, capped at half the minimum separation; refused at
+    finite-type-gap when the gap sweep raises DegenerateGap."""
     # finite type is local: a period v with |v| <= D + 1, the gap sweep's
     # cutoff, maps the anchor a to a + v and a - v, points of norm at most
     # |a| + D + 1, inside this ball (0.6 (D + 1) + max(4D, 2) > D + 1 for
@@ -793,58 +741,85 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
     try:
         gapinfo = finite_type_gap(gap_src, D)
     except DegenerateGap as e:
-        return NoCrystalEvidence(
-            stage="finite-type-gap", reason=str(e), diagnostics=diag
-        )
+        raise _Refused("finite-type-gap", str(e))
     eps = min(gapinfo.epsilon, min_sep / 2)
     diag.update(epsilon=eps, gap=gapinfo.gap, pair_count=gapinfo.pair_count)
+    return eps
 
+
+def _ladder_radii(S: WindowedSet, cfg: RunConfig, D: float, min_sep: float,
+                  eps: float, diag: dict) -> tuple[float, list[float]]:
+    """r_min = max(min_sep/2, 4 tol_exact) and the ladder radii: doubling
+    from max(4D, 3 r_min) up to R/2, or an explicit r_max alone.
+
+    ConfigError for an explicit r_max outside (r_min, R/2]. Refused at
+    candidate-generation when r_min >= R/2 or the anchor cannot reach the
+    top radius (_check_anchor_core); before the latter, at basis-selection
+    when paper-cone's axis cones all lie past the top radius.
+    """
+    R = S.radius
     r_min = max(min_sep / 2, 4 * cfg.tol_exact)
     diag["r_min"] = r_min
+    top = R / 2
+    r0 = min(top, max(4 * D, 3 * r_min))
     if cfg.r_max is not None:
         if not r_min < cfg.r_max <= R / 2 + TOL_EQ:
             raise ConfigError(
                 f"explicit r_max {cfg.r_max:g} outside ({r_min:g}, {R / 2:g}]"
             )
+        r0 = top = float(cfg.r_max)
     if r_min >= R / 2:
-        return NoCrystalEvidence(
-            stage="candidate-generation",
-            reason=f"candidate annulus empty: r_min {r_min:g} >= R/2 {R / 2:g}",
-            diagnostics=diag,
-        )
-    if cfg.r_max is not None:
-        ladder = [float(cfg.r_max)]
-    else:
-        r0 = min(R / 2, max(4 * D, 3 * r_min))
-        ladder = [r0]
-        while ladder[-1] < R / 2 * (1 - 1e-12):
-            ladder.append(min(2 * ladder[-1], R / 2))
+        raise _Refused("candidate-generation", "candidate annulus empty: "
+                       f"r_min {r_min:g} >= R/2 {R / 2:g}")
+    ladder = [r0]
+    while ladder[-1] < top * (1 - 1e-12):
+        ladder.append(min(2 * ladder[-1], top))
 
     # paper-cone needs a verified period inside every axis cone, and cone
     # members are longer than 3p^2; a candidate is no longer than the top
     # ladder radius (plus the merge tolerance), so a ladder that stops short
     # of the cones can never succeed
+    p = S.dim
     cone_lo = 3.0 * p * p
     if cfg.strategy == "paper-cone" and p >= 2 and ladder[-1] + TOL_EQ <= cone_lo:
         diag.update(n_candidates=0, n_periods=0)
-        return NoCrystalEvidence(
-            stage="basis-selection",
-            reason=(
-                f"every axis cone is empty: cone members are longer than "
-                f"3p^2 = {cone_lo:g}, candidates at most "
-                f"{ladder[-1]:g}"
-            ),
-            diagnostics=diag,
-        )
+        raise _Refused("basis-selection", "every axis cone is empty: cone "
+                       f"members are longer than 3p^2 = {cone_lo:g}, "
+                       f"candidates at most {ladder[-1]:g}")
     try:
         _check_anchor_core(S, eps, r_min, ladder[-1])
     except WindowTooSmall as e:
-        return NoCrystalEvidence(
-            stage="candidate-generation", reason=str(e), diagnostics=diag
-        )
+        raise _Refused("candidate-generation", str(e))
+    return r_min, ladder
+
+
+def _run_ladder(S: WindowedSet, cfg: RunConfig, eps: float, r_min: float,
+                ladder: list[float], diag: dict):
+    """The verified periods and their lattice, one step per ladder radius.
+
+    Each step harvests the anchor differences c - a in its own annulus, a
+    the window point nearest the origin: a period T with |T| <= r maps a
+    onto a window point. An anchor difference is the vector an almost
+    period would snap to, so it is its own Period, checked once by
+    verify_exact_period unless a probe of the step's one batched query
+    rejects it first (_probe_rejections). The run keeps one lattice, the
+    closure of the verified periods: seeded by the shortest independent
+    ones once they span p directions, refined by each new one. A candidate
+    within epsilon/2 of it is skipped unless it lies in a paper-cone axis
+    cone with no period yet; both masks are redone after each verified
+    period. The ladder stops once the lattice exists, every paper-cone axis
+    cone holds a period and the swept annulus covers the lattice's covering
+    radius, so a skewed or composite period group is closed before the
+    verdict, which the strategy only gates.
+
+    Refused at period-verification when no candidate is a period, and at
+    basis-selection when a paper-cone axis cone (whose diagonal dominance
+    certifies independence) holds no period, or the periods span fewer
+    than p directions or give a singular basis.
+    """
+    p = S.dim
     # the candidates' anchor, which every screen ball holds
     anchor = _frozen(S.points[np.argmin(S.norms())])
-
     periods: list[Period] = []
     # seeded by the shortest independent periods, not a cone basis: against
     # a long cone basis the short periods would need denominators the size
@@ -875,7 +850,8 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
         # refine it; it can only fill a still-empty axis cone. The probe
         # pass leaves those to the skip below, which is redone whenever the
         # lattice or the empty cones change
-        near = _near_lattice(lattice, cands, eps)
+        near = (lattice.distance(cands) < eps / 2 if lattice is not None
+                else np.zeros(len(cands), dtype=bool))
         rejected = np.zeros(len(cands), dtype=bool)
         rejected[~near] = _probe_rejections(scr, cands[~near], cfg.tol_exact)
         skip = near & ~cone[missing].any(axis=0)
@@ -906,8 +882,9 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
                         lattice = refine_lattice(build_lattice(basis), periods)
                     except SingularBasis as e:
                         singular = str(e)
-            skip = (_near_lattice(lattice, cands, eps)
-                    & ~cone[missing].any(axis=0))
+            if lattice is not None:
+                skip = ((lattice.distance(cands) < eps / 2)
+                        & ~cone[missing].any(axis=0))
 
         # covering radius of L is at most half the generator length sum; a
         # period outside the recovered group would leave a coset
@@ -920,37 +897,50 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
 
     diag.update(n_candidates=n_candidates, n_periods=len(periods))
     if not periods:
-        why = "no verified periods"
-    elif missing.any():
-        why = f"empty cone for axis {int(np.argmax(missing)) + 1}"
-    elif lattice is None:
-        why = singular or "verified periods do not span p directions"
-    else:
-        why = None
-    if why is not None:
-        return NoCrystalEvidence(
-            stage="period-verification" if not periods else "basis-selection",
-            reason=why,
-            diagnostics=diag,
-        )
+        raise _Refused("period-verification", "no verified periods")
+    if missing.any():
+        raise _Refused("basis-selection",
+                       f"empty cone for axis {int(np.argmax(missing)) + 1}")
+    if lattice is None:
+        raise _Refused("basis-selection",
+                       singular or "verified periods do not span p directions")
+    return lattice, periods
+
+
+def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
+    """Full recovery pipeline; CrystalDecomposition or NoCrystalEvidence.
+
+    The stages run in order, and the first that refuses names the
+    NoCrystalEvidence, with the diagnostics gathered so far: input
+    (_input_scales), finite-type-gap (_type_gap), candidate-generation
+    (_ladder_radii), period-verification and basis-selection (_run_ladder),
+    residues (residues) and decomposition (verify_decomposition, once, on
+    the full window). The first stages measure near the origin, as a
+    crystal looks the same everywhere; a window broken away from the origin
+    is refused by the last.
+    """
+    cfg = (config or RunConfig()).validate()
+    diag: dict = {"strategy": cfg.strategy, "n_points": len(S)}
     try:
-        F = residues(S, lattice)
-    except WindowTooSmall as e:
-        return NoCrystalEvidence(
-            stage="residues", reason=str(e), diagnostics=diag
-        )
-    dec = verify_decomposition(S, lattice, F, cfg.tol_exact)
-    if not dec.verified:
-        return NoCrystalEvidence(
-            stage="decomposition",
-            reason=(
-                f"coverage_in={dec.coverage_in:.6f}, "
-                f"coverage_out={dec.coverage_out:.6f}"
-            ),
-            diagnostics=diag,
-            witnesses=np.concatenate(
-                [dec.witnesses_in, dec.witnesses_out]
-            ).reshape(-1, S.dim),
-        )
+        D, min_sep = _input_scales(S, diag)
+        eps = _type_gap(S, D, min_sep, diag)
+        r_min, ladder = _ladder_radii(S, cfg, D, min_sep, eps, diag)
+        lattice, periods = _run_ladder(S, cfg, eps, r_min, ladder, diag)
+        try:
+            F = residues(S, lattice)
+        except WindowTooSmall as e:
+            raise _Refused("residues", str(e))
+        dec = verify_decomposition(S, lattice, F, cfg.tol_exact)
+        if not dec.verified:
+            wit = np.concatenate([dec.witnesses_in, dec.witnesses_out])
+            raise _Refused("decomposition",
+                           f"coverage_in={dec.coverage_in:.6f}, "
+                           f"coverage_out={dec.coverage_out:.6f}",
+                           wit.reshape(-1, S.dim))
+    except _Refused as e:
+        out = NoCrystalEvidence(e.stage, e.reason, diag)
+        if e.witnesses is not None:
+            out.witnesses = e.witnesses
+        return out
     return replace(dec, epsilon=eps, D=D, periods=tuple(periods),
                    diagnostics=diag)

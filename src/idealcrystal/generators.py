@@ -85,13 +85,14 @@ def gen_ideal_crystal(basis, F, R: float, label: str = "") -> WindowedSet:
     R = finite_positive("radius", R)
 
     fracs = np.mod(F @ inv, 1.0)
-    for i in range(len(F)):
-        for k in range(i + 1, len(F)):
-            if _same_coset(fracs[i], fracs[k], COORD_TOL):
-                raise CosetCollision(
-                    f"residues {F[i].tolist()} and {F[k].tolist()} "
-                    "coincide modulo the lattice"
-                )
+    for i in range(len(F) - 1):
+        same = np.flatnonzero(_same_coset(fracs[i + 1:], fracs[i], COORD_TOL))
+        if len(same):
+            k = i + 1 + same[0]
+            raise CosetCollision(
+                f"residues {F[i].tolist()} and {F[k].tolist()} "
+                "coincide modulo the lattice"
+            )
 
     max_f = float(np.linalg.norm(F, axis=1).max())
     t = _ball_points(B, inv, _ulp_widened(R + max_f))[1]

@@ -21,6 +21,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
+from ._util import finite_positive
 from .errors import ConfigError, DegenerateGap, MarginTooLarge, TooFewPoints
 from .pointset import TOL_EQ, WindowedSet, _canonical_order
 
@@ -105,9 +106,7 @@ def difference_vectors(S: WindowedSet, cutoff: float) -> DifferenceSet:
     Grid cells are int64, so a cutoff with cutoff + tol_eq of 2^63 tol_eq
     or more raises DegenerateGap.
     """
-    cutoff = float(cutoff)
-    if not cutoff > 0:
-        raise ConfigError("cutoff must be positive")
+    cutoff = finite_positive("cutoff", cutoff)
     if (cutoff + TOL_EQ) / TOL_EQ >= 2.0 ** 63:
         raise DegenerateGap(
             f"cutoff {cutoff:.3e} spans 2^63 or more cells of tol_eq = "
@@ -195,8 +194,8 @@ def denseness_radius(S: WindowedSet, core_margin: float) -> float:
     value exactly.
     """
     core_margin = float(core_margin)
-    if not core_margin >= 0:
-        raise ConfigError("core_margin must be non-negative")
+    if not 0 <= core_margin < np.inf:
+        raise ConfigError("core_margin must be finite and non-negative")
     if len(S) < 2:
         raise TooFewPoints("denseness radius needs at least 2 points")
     return _core_max(S.nn_distances(), S.norms(), S.radius, core_margin)
@@ -247,9 +246,7 @@ def finite_type_gap(S: WindowedSet, D: float) -> TypeGapReport:
     length, so where the ball covers the whole window, as in small units,
     the pair count, and with it that array, still grows as O(n^2).
     """
-    D = float(D)
-    if not D > 0:
-        raise ConfigError("D must be positive")
+    D = finite_positive("D", D)
     V = difference_vectors(S, D + 1.0)
     if len(V) < 2:
         # only the zero vector: no distinct pair to separate; treat the

@@ -75,3 +75,16 @@ def residues_by_coset_loop(S: WindowedSet, L) -> np.ndarray:
             kept.append(fracs[i])
     out = np.array(kept) @ L.basis
     return out[_canonical_order(out)]
+
+
+def first_coset_collision(fracs: np.ndarray):
+    """Reference for gen_ideal_crystal's residue check: the first pair
+    (i, k), i < k, of rows of cell coordinates in [0, 1) that are equal
+    modulo 1 within COORD_TOL on every axis, compared one pair at a time;
+    None when no pair is."""
+    for i in range(len(fracs)):
+        for k in range(i + 1, len(fracs)):
+            d = np.abs(fracs[i] - fracs[k])
+            if np.all(np.minimum(d, 1.0 - d) <= COORD_TOL):
+                return i, k
+    return None

@@ -59,6 +59,7 @@ from idealcrystal.crystal import (
     _row_norms,
     _ulp_widened,
 )
+from idealcrystal.geometry import difference_vectors
 from idealcrystal.pointset import TOL_EQ
 from oracles import residues_by_coset_loop
 
@@ -1844,3 +1845,68 @@ def test_config_validation():
         RunConfig(tol_exact=-1.0).validate()
     with pytest.raises(ConfigError):
         RunConfig(r_max=0.0).validate()
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    lambda S: RunConfig(tol_exact=INF).validate(),
+    lambda S: RunConfig(r_max=INF).validate(),
+    lambda S: recover_crystal(S, RunConfig(tol_exact=INF)),
+    lambda S: difference_vectors(S, INF),
+    lambda S: finite_type_gap(S, INF),
+    lambda S: denseness_radius(S, INF),
+], ids=["config-tol-exact", "config-r-max", "recover-tol-exact",
+        "differences-cutoff", "gap-D", "denseness-margin"])
+def test_infinite_lengths_are_config_errors(call):
+    # an infinite length is a bad setting: refused as one before any stage
+    # runs, not staged as an empty annulus or a cutoff past the cell grid
+    with pytest.raises(ConfigError, match="finite"):
+        call(disc_lattice(10.0))
+
+
+_SCALES = {"strategy", "n_points", "D", "core_margin", "epsilon", "gap",
+           "pair_count", "r_min"}
+_LADDER = _SCALES | {"r_max_reached", "ladder_steps", "n_candidates",
+                     "n_periods"}
+
+
+@pytest.mark.parametrize("make, config, stage, reason, keys", [
+    (lambda: WindowedSet([[0.0, 0.0]], 1.0), RunConfig(), "input",
+     "1 points: D and the minimum separation need 2", {"strategy", "n_points"}),
+    (lambda: WindowedSet(gen_ideal_crystal(PLANE_B, PLANE_F, 30.0).points
+                         * 1e12, 30e12), RunConfig(), "finite-type-gap",
+     "spans 2^63 or more cells", {"strategy", "n_points", "D", "core_margin"}),
+    (lambda: disc_lattice(10.0), RunConfig(tol_exact=2.0),
+     "candidate-generation", "candidate annulus empty: r_min 8 >= R/2 5",
+     _SCALES),
+    (lambda: disc_lattice(20.0), RunConfig(strategy="paper-cone"),
+     "basis-selection", "every axis cone is empty",
+     _SCALES | {"n_candidates", "n_periods"}),
+    (lambda: gen_poisson(1.0, 20.0, 3, 2), RunConfig(), "period-verification",
+     "no verified periods", _LADDER),
+    (lambda: gen_ideal_crystal(4.0 * np.eye(3), [[0.0, 0.0, 0.0]], 10.0),
+     RunConfig(), "residues", "window radius 10 below residue ball 12",
+     _LADDER),
+    (_vacancy_plane, RunConfig(), "decomposition", "coverage_in=0.999806",
+     _LADDER),
+], ids=["input", "finite-type-gap", "candidate-generation", "basis-selection",
+        "period-verification", "residues", "decomposition"])
+def test_each_stage_refuses_through_one_exit(make, config, stage, reason,
+                                             keys):
+    # every refusal leaves recover_crystal as NoCrystalEvidence with the
+    # diagnostics gathered up to its stage; only the decomposition check
+    # has witnesses
+    out = recover_crystal(make(), config)
+    assert isinstance(out, NoCrystalEvidence)
+    assert out.stage == stage
+    assert reason in out.reason
+    assert set(out.diagnostics) == keys
+    if stage == "basis-selection":
+        assert out.diagnostics["n_candidates"] == 0
+        assert out.diagnostics["n_periods"] == 0
+    if stage == "decomposition":
+        assert out.witnesses.shape == (1, 2)
+    else:
+        assert out.witnesses.shape == (0, 1)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from idealcrystal.crystal import COORD_TOL, build_lattice
 from idealcrystal.errors import (
     AmplitudeTooLarge,
     ConfigError,
@@ -17,6 +18,7 @@ from idealcrystal.generators import (
     gen_poisson,
 )
 from idealcrystal.pointset import min_separation
+from oracles import first_coset_collision
 
 
 def test_integer_line_window():
@@ -68,6 +70,32 @@ def test_coset_collision_detected():
         gen_ideal_crystal([[1.0]], [[0.0], [1.0]], 5.0)
     with pytest.raises(CosetCollision):
         gen_ideal_crystal([[2.0]], [[0.5], [2.5]], 5.0)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_coset_collisions_match_the_pair_loop(seed):
+    # cell coordinates on both sides of the 0 = 1 wrap, and two copies of
+    # some rows moved by up to twice the coset tolerance, so a row can
+    # collide with more than one later row: the one pass per residue names
+    # the pair loop's first colliding pair, or none when the loop finds none
+    rng = np.random.default_rng(seed)
+    B = np.array([[1.0, 0.0], [0.3, 1.1]])
+    edge = [0.0, 4e-7, 1 - 4e-7, 1 - 1e-12]
+    cells = np.where(rng.random((10, 2)) < 0.3, rng.choice(edge, (10, 2)),
+                     rng.random((10, 2)))
+    copies = np.repeat(rng.integers(0, 10, seed % 4), 2)
+    moved = cells[copies] + rng.uniform(-2, 2, (len(copies), 2)) * COORD_TOL
+    F = np.mod(np.vstack([cells, moved]), 1.0) @ B
+    F = F[rng.permutation(len(F))]
+    pair = first_coset_collision(np.mod(F @ build_lattice(B).inv, 1.0))
+    if pair is None:
+        assert len(gen_ideal_crystal(B, F, 2.0)) > 0
+        return
+    i, k = pair
+    with pytest.raises(CosetCollision) as err:
+        gen_ideal_crystal(B, F, 2.0)
+    assert str(err.value) == (f"residues {F[i].tolist()} and {F[k].tolist()}"
+                              " coincide modulo the lattice")
 
 
 def test_crystal_argument_validation():
