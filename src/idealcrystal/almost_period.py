@@ -102,11 +102,6 @@ def _vector(name: str, v, S: WindowedSet) -> np.ndarray:
     return v
 
 
-def _core_indices(S: WindowedSet, margin: float) -> np.ndarray:
-    """Indices of points with |a| <= R - margin, in canonical order."""
-    return np.flatnonzero(S.norms() <= S.radius - margin)
-
-
 def is_almost_period(S: WindowedSet, tau, epsilon: float):
     """Bijection test for tau at tolerance epsilon on the window core.
 
@@ -125,7 +120,7 @@ def is_almost_period(S: WindowedSet, tau, epsilon: float):
         raise ConfigError(
             f"|tau| + epsilon = {t + epsilon:g} must stay below R = {S.radius:g}"
         )
-    core = _core_indices(S, t + epsilon)
+    core = np.flatnonzero(S.norms() <= S.radius - (t + epsilon))
     if len(core) == 0:
         raise WindowTooSmall("no core points survive the |tau| + epsilon margin")
     shifted = S.points[core] + tau
@@ -287,7 +282,7 @@ def verify_exact_period(S: WindowedSet, T, tol_exact: float = TOL_EXACT):
         raise ConfigError(f"|T| = {t:g} must stay below R = {S.radius:g}")
 
     margin = t + tol_exact
-    core = _core_indices(S, margin)
+    core = np.flatnonzero(S.norms() <= S.radius - margin)
     if len(core) == 0:
         raise WindowTooSmall("no core points survive the |T| margin")
     d, _ = S.tree().query(

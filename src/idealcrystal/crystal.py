@@ -60,8 +60,8 @@ _MAX_DENOMINATOR = 64
 _ANGLE_FLOOR = 0.02
 
 #: Window points nearest the origin on which D and the minimum separation
-#: are measured. Their neighbours come from them and from the shell of
-#: window points just outside them.
+#: are measured. Their neighbours come from one ball about the origin that
+#: holds them.
 _LOCAL_POINTS = 256
 
 #: Window rows that verify_decomposition maps to lattice coordinates at
@@ -242,7 +242,10 @@ def refine_lattice(L: Lattice, periods) -> Lattice:
     pending: list[np.ndarray] = []
     for item in periods:
         T = item.T if isinstance(item, Period) else item
-        pending.append(np.asarray(T, dtype=np.float64))
+        T = np.asarray(T, dtype=np.float64).reshape(-1)
+        if len(T) != p:
+            raise ConfigError(f"period has dim {len(T)}, lattice has dim {p}")
+        pending.append(T)
 
     while True:
         extra: list[list[Fraction]] = []
@@ -261,10 +264,7 @@ def refine_lattice(L: Lattice, periods) -> Lattice:
         if not extra:
             break
 
-        denom = 1
-        for fr in extra:
-            for f in fr:
-                denom = denom * f.denominator // math.gcd(denom, f.denominator)
+        denom = math.lcm(*(f.denominator for fr in extra for f in fr))
         rows = [[denom if i == k else 0 for k in range(p)] for i in range(p)]
         for fr in extra:
             rows.append([int(f * denom) for f in fr])
@@ -349,6 +349,12 @@ def _lattice_points(basis: np.ndarray, inv: np.ndarray, radius: float):
     return n.compress(keep, axis=0), t.compress(keep, axis=0)
 
 
+def _same_dim(S: WindowedSet, L: Lattice) -> None:
+    """ConfigError unless L has the dimension of the window S."""
+    if L.dim != S.dim:
+        raise ConfigError(f"lattice has dim {L.dim}, window has dim {S.dim}")
+
+
 def _same_coset(f: np.ndarray, g: np.ndarray, tol: float):
     """Whether the cell coordinates f and g, each in [0, 1), are equal
     modulo 1 within tol on every axis; one answer per row of f when f is
@@ -365,14 +371,13 @@ def residues(S: WindowedSet, L: Lattice) -> np.ndarray:
     with the wrap-around metric, and returned in lexicographic order. Each
     kept candidate clears its whole coset from the rest in one pass.
     """
+    _same_dim(S, L)
     sigma = float(np.linalg.norm(L.basis, axis=1).sum())
     if S.radius < sigma:
         raise WindowTooSmall(
             f"window radius {S.radius:g} below residue ball {sigma:g}"
         )
     cand = np.flatnonzero(S.norms() < sigma)
-    if len(cand) == 0:
-        return np.zeros((0, S.dim))
     pts = S.points[cand]
     fracs = np.mod(pts @ L.inv, 1.0)
     order = np.argsort(S.norms()[cand], kind="stable")
@@ -491,15 +496,20 @@ def verify_decomposition(S: WindowedSet, L: Lattice, F,
     coordinates while tol_exact * max_i |B^-1[:, i]| < 1/2, and n B is the
     product the target enumeration (_lattice_points) forms, bit for bit.
     So a point with |t + f| <= R - tol_exact and d <= tol_exact hits the
-    target keyed by (n_1, f, n_2, ..., n_p) in one int64, and is covered.
+    target keyed by (n_1, f, n_2, ..., n_p), packed into one int64 by
+    np.ravel_multi_index, and is covered.
     Inclusion in compares the distinct keys hit with the number of targets,
     which _count_targets counts from the interval solve _lattice_points
     shares. Only when a target is missed is the ball enumerated
     (_lattice_points), and the missed targets sorted by key once, to list
-    the first ten. A larger tolerance, or a key range past int64, raises
-    ConfigError.
+    the first ten. A larger tolerance, a key range past int64, or a lattice
+    or residues of another dimension than the window's raises ConfigError.
     """
-    F = np.asarray(F, dtype=np.float64).reshape(-1, S.dim)
+    _same_dim(S, L)
+    F = np.atleast_2d(np.asarray(F, dtype=np.float64))
+    if F.ndim != 2 or F.shape[1] != S.dim:
+        raise ConfigError(f"residues must be rows of the window's dim "
+                          f"{S.dim}, got shape {F.shape}")
     tol_exact = float(tol_exact)
     if not tol_exact > 0:
         raise ConfigError("tol_exact must be positive")
@@ -520,18 +530,17 @@ def verify_decomposition(S: WindowedSet, L: Lattice, F,
             f"lattice key range {len(F)} x {' x '.join(map(str, widths))} "
             "exceeds int64"
         )
+    dims = (widths[0], len(F), *widths[1:])
 
     def pack(fi: int, n: np.ndarray) -> np.ndarray:
         # (n_1, residue, n_2, ..., n_p): the order witnesses are reported in.
         # A hit's target t + f has its n inside the bounds; the clip keeps
-        # every key in the packed range whatever the rounding
-        def col(i):
-            return np.clip(n[:, i], -bounds[i], bounds[i]).astype(np.int64)
-
-        key = (col(0) + bounds[0]) * len(F) + fi
-        for i in range(1, len(widths)):
-            key = key * widths[i] + (col(i) + bounds[i])
-        return key
+        # every key in the packed range whatever the rounding. The cast is
+        # exact: |a - f| <= enum_r gives |n_i| <= bounds_i. One contiguous
+        # row per axis: a p-vector broadcast over rows is looped per row
+        idx = n.T.astype(np.int64, order="C")
+        idx += bounds[:, None]
+        return np.ravel_multi_index((idx[0], fi, *idx[1:]), dims, mode="clip")
 
     pts = S.points
     best = np.full(len(pts), np.inf)
@@ -620,14 +629,14 @@ def _local_scales(S: WindowedSet, core_margin: float) -> tuple[float, float]:
     norm and every point tied with the last of them, so the set does not
     depend on how a sort breaks ties; the whole window when it holds no
     more points. A tree on them gives each its nearest measured neighbour,
-    at distance d. A point y outside is nearer than that only if |y| <=
-    |x| + d, so only the measured points with |x| + d past the largest
-    measured norm query a second tree, on the points outside up to the
-    largest such |x| + d. The distances are those of a query over the whole
-    window. D is the largest nearest-neighbour distance over the measured
-    core points, as in denseness_radius, and the minimum separation the
-    smallest over all measured points; a window of at most _LOCAL_POINTS
-    points gets exactly denseness_radius and min_separation.
+    at distance d(x). A point y is nearer to x only if |y| <= |x| + d(x),
+    so one query of a second tree, on the ball of window points up to the
+    largest |x| + d(x), which holds every measured x, gives the distances
+    of a query over the whole window. D is the largest nearest-neighbour
+    distance over the measured core points, as in denseness_radius, and
+    the minimum separation the smallest over all measured points; a window
+    of at most _LOCAL_POINTS points gets exactly denseness_radius and
+    min_separation.
 
     Relative denseness and a discrete A - A hold the same way everywhere in
     a crystal. A window broken away from the origin is refused by the
@@ -641,16 +650,11 @@ def _local_scales(S: WindowedSet, core_margin: float) -> tuple[float, float]:
     near = np.flatnonzero(norms <= cut)
     pts = S.points[near]
     d, _ = cKDTree(pts).query(pts, k=2)
-    nn = d[:, 1]
     # the relative slack covers the rounding of norms and distances
-    reach = (norms[near] + nn) * (1 + 1e-12)
-    rim = reach > norms[near].max()
-    if rim.any():
-        shell = np.flatnonzero(norms <= reach.max())
-        shell = shell[norms[shell] > cut]
-        if len(shell):
-            d, _ = cKDTree(S.points[shell]).query(pts[rim], k=1)
-            nn[rim] = np.minimum(nn[rim], d)
+    reach = float((norms[near] + d[:, 1]).max()) * (1 + 1e-12)
+    ball = S.points.compress(norms <= reach, axis=0)
+    d, _ = cKDTree(ball).query(pts, k=2)
+    nn = d[:, 1]
     # the measured points and the core are both balls about the origin, so
     # the measured core is empty or a single point just when the core is
     return _core_max(nn, norms[near], S.radius, core_margin), float(nn.min())
@@ -699,7 +703,7 @@ def _probe_rejections(S: WindowedSet, cands: np.ndarray,
 class _Refused(Exception):
     """A stage's refusal, which recover_crystal returns as evidence."""
 
-    def __init__(self, stage: str, reason: str, witnesses=None):
+    def __init__(self, stage: str, reason: str, witnesses=()):
         super().__init__(reason)
         self.stage, self.reason, self.witnesses = stage, reason, witnesses
 
@@ -932,15 +936,13 @@ def recover_crystal(S: WindowedSet, config: RunConfig | None = None):
             raise _Refused("residues", str(e))
         dec = verify_decomposition(S, lattice, F, cfg.tol_exact)
         if not dec.verified:
-            wit = np.concatenate([dec.witnesses_in, dec.witnesses_out])
             raise _Refused("decomposition",
                            f"coverage_in={dec.coverage_in:.6f}, "
                            f"coverage_out={dec.coverage_out:.6f}",
-                           wit.reshape(-1, S.dim))
+                           np.concatenate([dec.witnesses_in,
+                                           dec.witnesses_out]))
     except _Refused as e:
-        out = NoCrystalEvidence(e.stage, e.reason, diag)
-        if e.witnesses is not None:
-            out.witnesses = e.witnesses
-        return out
+        return NoCrystalEvidence(e.stage, e.reason, diag,
+                                 np.reshape(e.witnesses, (-1, S.dim)))
     return replace(dec, epsilon=eps, D=D, periods=tuple(periods),
                    diagnostics=diag)

@@ -13,10 +13,10 @@ their basis with crystal.build_lattice under their own determinant floor.
 Every generator refuses with ConfigError what it cannot build from: a
 radius or intensity that is not finite and positive, a non-finite basis,
 slope, interval, frequency or residue, lattice coordinates past int64, a
-Poisson seed that is not an integer >= 0, a Poisson mean numpy cannot
-draw and an array past the largest size numpy can make
-(``_check_array_size``), which numpy would refuse with a ValueError of its
-own.
+Poisson seed that is not an integer >= 0 or dim that is not one >= 1, a
+Poisson mean numpy cannot draw and an array past the largest size numpy can
+make (``_check_array_size``), which numpy would refuse with a ValueError of
+its own.
 """
 
 from __future__ import annotations
@@ -197,8 +197,10 @@ def gen_poisson(intensity: float, R: float, seed: int, dim: int = 1,
     """
     intensity = finite_positive("intensity", intensity)
     R = finite_positive("radius", R)
-    if dim < 1:
-        raise ConfigError("dim must be at least 1")
+    # bool is an int to Python, not a dimension (as in a JSON point file)
+    if isinstance(dim, bool) or not (isinstance(dim, (int, np.integer))
+                                     and dim >= 1):
+        raise ConfigError(f"dim must be an integer >= 1, got {dim!r}")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)

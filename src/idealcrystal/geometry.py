@@ -61,15 +61,11 @@ def _normalize_signs(vecs: np.ndarray) -> np.ndarray:
     """Flip each row so its first coordinate exceeding tol_eq is positive."""
     out = vecs.copy()
     big = np.abs(out) > TOL_EQ
-    has = big.any(axis=1)
-    lead = out[np.arange(len(out)), np.argmax(big, axis=1)]
-    flip = has & (lead < 0)
     # rows with every |coord| <= tol_eq: fall back to plain sign of the
     # first nonzero coordinate so v and -v still collapse together
-    for i in np.flatnonzero(~has):
-        nz = np.flatnonzero(out[i])
-        if len(nz) and out[i, nz[0]] < 0:
-            flip[i] = True
+    col = np.where(big.any(axis=1), np.argmax(big, axis=1),
+                   np.argmax(out != 0, axis=1))
+    flip = out[np.arange(len(out)), col] < 0
     out[flip] = -out[flip]
     return out
 
@@ -94,10 +90,10 @@ def difference_vectors(S: WindowedSet, cutoff: float) -> DifferenceSet:
     """All difference vectors of S up to |a-b| <= cutoff, merged at tol_eq.
 
     Merging is the transitive closure of the tol_eq adjacency relation on
-    sign-normalized vectors; each merged class is represented by its first
-    enumerated member (class members agree to tol_eq, so the choice only
-    moves the representative within the merge tolerance) and counted once
-    per unordered pair.
+    sign-normalized vectors; each merged class is represented by the first
+    enumerated member of its canonically first grid cell (class members
+    agree to tol_eq, so the choice only moves the representative within the
+    merge tolerance) and counted once per unordered pair.
 
     Memory: the pair index array of the neighbour query (two indices per
     pair within the cutoff) plus a working set of _PAIR_BLOCK pairs. The
@@ -156,26 +152,20 @@ def difference_vectors(S: WindowedSet, cutoff: float) -> DifferenceSet:
     # cell representatives (grid diagonal widens the radius slightly)
     merge_r = (1.0 + float(np.sqrt(S.dim))) * TOL_EQ
     close = cKDTree(cell_reps).query_pairs(merge_r, output_type="ndarray")
-    if len(close):
-        graph = sp.coo_matrix(
-            (np.ones(len(close)), (close[:, 0], close[:, 1])), shape=(k, k)
-        )
-        ncomp, labels = connected_components(graph, directed=False)
-    else:
-        ncomp, labels = k, np.arange(k)
+    graph = sp.coo_matrix(
+        (np.ones(len(close)), (close[:, 0], close[:, 1])), shape=(k, k)
+    )
+    ncomp, labels = connected_components(graph, directed=False)
 
     comp_count = np.zeros(ncomp, dtype=np.int64)
     np.add.at(comp_count, labels, cell_count)
+    # each component's representative is its canonically first cell
     rep_order = _canonical_order(cell_reps)
-    rep_rank = np.empty(k, dtype=np.intp)
-    rep_rank[rep_order] = np.arange(k)
-    comp_best = np.full(ncomp, k, dtype=np.intp)
-    np.minimum.at(comp_best, labels, rep_rank)
-    reps = cell_reps[rep_order[comp_best]]
-    mult = comp_count
+    _, first = np.unique(labels[rep_order], return_index=True)
+    reps = cell_reps[rep_order[first]]
 
     vecs = np.concatenate([reps, -reps, zero])
-    cnts = np.concatenate([mult, mult, [n]])
+    cnts = np.concatenate([comp_count, comp_count, [n]])
     order = _canonical_order(vecs)
     vecs = np.ascontiguousarray(vecs[order])
     vecs.flags.writeable = False

@@ -339,6 +339,36 @@ def test_residues_distinct_mod_lattice():
             assert not bool(L.contains(F[i] - F[j])), (i, j)
 
 
+def test_residues_of_an_empty_residue_ball():
+    # Z^2 without its points of |a| < 3: none lies in the residue ball of
+    # radius sum |T_j| = 2
+    S = disc_lattice(10.0)
+    S = WindowedSet(S.points[np.linalg.norm(S.points, axis=1) >= 3], 10.0)
+    F = residues(S, build_lattice(np.eye(2)))
+    assert F.shape == (0, 2)
+    assert not F.flags.writeable
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda S: verify_decomposition(S, build_lattice(np.eye(2)),
+                                    [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]]),
+     r"window's dim 2, got shape \(2, 3\)"),
+    (lambda S: verify_decomposition(S, build_lattice(np.eye(3)),
+                                    [[0.0, 0.0]]),
+     "lattice has dim 3, window has dim 2"),
+    (lambda S: residues(S, build_lattice(np.eye(3))),
+     "lattice has dim 3, window has dim 2"),
+    (lambda S: refine_lattice(build_lattice(np.eye(2)), [[0.5, 0.0, 0.0]]),
+     "period has dim 3, lattice has dim 2"),
+], ids=["verify-residues", "verify-lattice", "residues-lattice",
+        "refine-period"])
+def test_lattice_functions_refuse_a_wrong_dimension(call, match):
+    # numpy would reshape the residues to the window's dim, or fail with a
+    # ValueError of its own
+    with pytest.raises(ConfigError, match=match):
+        call(disc_lattice(10.0))
+
+
 def test_residues_window_too_small():
     S = WindowedSet([[0.0], [1.0], [-1.0]], 1.0)
     with pytest.raises(WindowTooSmall):
@@ -1898,7 +1928,8 @@ def test_each_stage_refuses_through_one_exit(make, config, stage, reason,
     # every refusal leaves recover_crystal as NoCrystalEvidence with the
     # diagnostics gathered up to its stage; only the decomposition check
     # has witnesses
-    out = recover_crystal(make(), config)
+    S = make()
+    out = recover_crystal(S, config)
     assert isinstance(out, NoCrystalEvidence)
     assert out.stage == stage
     assert reason in out.reason
@@ -1909,4 +1940,4 @@ def test_each_stage_refuses_through_one_exit(make, config, stage, reason,
     if stage == "decomposition":
         assert out.witnesses.shape == (1, 2)
     else:
-        assert out.witnesses.shape == (0, 1)
+        assert out.witnesses.shape == (0, S.dim)

@@ -269,6 +269,9 @@ def test_poisson_argument_validation():
     # numpy's default_rng raises ValueError and TypeError for these
     lambda: gen_poisson(1.0, 5.0, -1),
     lambda: gen_poisson(1.0, 5.0, 1.5),
+    # numpy raises TypeError for a float dim; True is no dimension either
+    lambda: gen_poisson(1.0, 5.0, 0, 2.5),
+    lambda: gen_poisson(1.0, 5.0, 0, True),
     # refused before the determinant, which would warn and return nan
     lambda: gen_ideal_crystal([[np.nan]], [[0.0]], 5.0),
     lambda: gen_ideal_crystal([[np.inf, 0.0], [0.0, 1.0]], [[0.0, 0.0]], 5.0),
@@ -285,7 +288,8 @@ def test_poisson_argument_validation():
         "poisson-inf-intensity", "poisson-inf-radius", "poisson-huge-mean-1d",
         "poisson-huge-mean-2d", "poisson-past-array-size-1d",
         "poisson-past-array-size-3d", "cut-project-past-array-size",
-        "poisson-negative-seed", "poisson-float-seed", "crystal-nan-basis",
+        "poisson-negative-seed", "poisson-float-seed", "poisson-float-dim",
+        "poisson-bool-dim", "crystal-nan-basis",
         "crystal-inf-basis", "perturbed-nan-basis", "crystal-det-overflow",
         "crystal-inverse-overflow"])
 def test_generators_refuse_what_they_cannot_build(make):

@@ -258,6 +258,17 @@ def test_difference_vectors_keep_signed_zeros():
     assert V.vectors.tobytes() == W.vectors.tobytes()
 
 
+def test_difference_vectors_sign_a_row_within_tol_eq_by_its_first_nonzero():
+    # the points are 1.118e-9 apart, past the duplicate floor, yet every
+    # coordinate of their difference lies within tol_eq: no coordinate
+    # leads, so the first nonzero one sets the sign and v, -v still merge
+    V = difference_vectors(WindowedSet([[0, 0], [-1e-9, -0.5e-9]], 1.0), 1.0)
+    v = [1e-9, 5e-10]
+    assert V.vectors.tolist() == [[-1e-9, -5e-10], [0.0, 0.0], v]
+    assert V.vectors[0].tobytes() == (-V.vectors[2]).tobytes()
+    assert V.counts.tolist() == [1, 2, 1]
+
+
 # -- denseness_radius ---------------------------------------------------------
 
 
