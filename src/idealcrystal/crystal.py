@@ -39,7 +39,8 @@ from .geometry import _core_max, finite_type_gap
 from .almost_period import (candidate_almost_periods,  # noqa: F401
                             is_almost_period, snap_to_period)
 from .geometry import denseness_radius, difference_vectors  # noqa: F401
-from .pointset import TOL_EQ, WindowedSet, _canonical_order, window_restrict
+from .pointset import (TOL_EQ, WindowedSet, _canonical_order, _row_norms,
+                       window_restrict)
 
 log = logging.getLogger(__name__)
 
@@ -345,7 +346,7 @@ def _lattice_points(basis: np.ndarray, inv: np.ndarray, radius: float):
     start = np.cumsum(count) - count
     n[:, -1] = np.arange(m) - np.repeat(start - lo, count)
     t = n @ basis
-    keep = np.linalg.norm(t, axis=1) <= rho
+    keep = _row_norms(t) <= rho
     return n.compress(keep, axis=0), t.compress(keep, axis=0)
 
 
@@ -432,18 +433,6 @@ class NoCrystalEvidence:
     witnesses: np.ndarray = field(
         default_factory=lambda: np.zeros((0, 1))
     )
-
-
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(v, axis=1) bit for bit, with one temporary of one
-    column: the same left-to-right sum of squares, which numpy's row
-    reduction uses for fewer than 8 columns (it sums pairwise from 8)."""
-    if v.shape[1] >= 8:
-        return np.linalg.norm(v, axis=1)
-    s = v[:, 0] * v[:, 0]
-    for k in range(1, v.shape[1]):
-        s += v[:, k] * v[:, k]
-    return np.sqrt(s, out=s)
 
 
 def _count_targets(basis: np.ndarray, inv: np.ndarray, radius: float,

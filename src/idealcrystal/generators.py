@@ -13,10 +13,10 @@ their basis with crystal.build_lattice under their own determinant floor.
 Every generator refuses with ConfigError what it cannot build from: a
 radius or intensity that is not finite and positive, a non-finite basis,
 slope, interval, frequency or residue, lattice coordinates past int64, a
-Poisson seed that is not an integer >= 0 or dim that is not one >= 1, a
-Poisson mean numpy cannot draw and an array past the largest size numpy can
-make (``_check_array_size``), which numpy would refuse with a ValueError of
-its own.
+Poisson seed that is not an integer >= 0 or dim that is not one >= 1 (a
+bool is neither), a Poisson mean numpy cannot draw and an array past the
+largest size numpy can make (``_check_array_size``), which numpy would
+refuse with a ValueError of its own.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
     CosetCollision,
     EmptyAcceptanceWindow,
 )
-from .pointset import TOL_EQ, WindowedSet
+from .pointset import TOL_EQ, WindowedSet, _row_norms
 
 #: The generators refuse a basis with |det| <= _DET_FLOOR * prod |B_j|, a
 #: looser floor than build_lattice's default.
@@ -99,7 +99,7 @@ def gen_ideal_crystal(basis, F, R: float, label: str = "") -> WindowedSet:
     pieces = []
     for f in F:
         pts = t + f
-        keep = np.linalg.norm(pts, axis=1) <= R + TOL_EQ
+        keep = _row_norms(pts) <= R + TOL_EQ
         pieces.append(pts.compress(keep, axis=0))
     del t, pts  # before WindowedSet copies and sorts the points
     return WindowedSet(np.concatenate(pieces), R,
@@ -197,11 +197,13 @@ def gen_poisson(intensity: float, R: float, seed: int, dim: int = 1,
     """
     intensity = finite_positive("intensity", intensity)
     R = finite_positive("radius", R)
-    # bool is an int to Python, not a dimension (as in a JSON point file)
+    # bool is an int to Python, neither a dimension (as in a JSON point
+    # file) nor a seed
     if isinstance(dim, bool) or not (isinstance(dim, (int, np.integer))
                                      and dim >= 1):
         raise ConfigError(f"dim must be an integer >= 1, got {dim!r}")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer))
+                                      and seed >= 0):
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     try:

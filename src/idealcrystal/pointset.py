@@ -17,17 +17,28 @@ for; a non-finite radius is refused.
 
 JSON text is parsed by orjson, whose correctly rounded number parser
 gives the floats the standard library's ``json`` gives, several times
-faster (``_load_json``). A document nested deeper than ``_MAX_DEPTH``
-is refused before any parser sees it (measured on the text, as orjson's
+faster. A point file as ``serialize`` or ``json.dumps`` writes it is read
+in blocks (``_json_blocks``): the rows of the ``points`` list, about
+``_ROWS_BLOCK`` characters at a time, each cut after a row's ``],``, go to
+orjson and numpy one block at a time, so no Python object tree of the
+whole list is ever built. orjson sees a block only once its brackets and
+quotes are ``[]`` repeated: rows of scalars, two levels deep. Each block
+must give a 2-D numeric array of the window's width. The text outside the
+list is read twice, with ``0`` and then ``1`` in the list's place, and
+``points`` must read 0 and then 1: so the blocks are exactly the value of
+the last top-level ``points`` key, and the document is valid JSON, which
+the whole-document reading turns into the same window. Any other document,
+and any the block reader doubts, is read whole (``_json_document``), the
+only reading that raises: a document nested deeper than ``_MAX_DEPTH`` is
+refused before any parser sees it (measured on the text, as orjson's
 recursion has no limit); one orjson refuses is read by ``json.loads``,
 which also takes NaN, Infinity, integers past the float range and lone
 surrogates. ``dim`` is an integer from 1 to 2**63 - 1; the label and the
 radius are checked by ``WindowedSet`` alone, as a ``str`` and a real
-number, so a document gives one window, or one error, whichever parser
-reads it.
-JSON point lists are converted column-wise: one numpy conversion takes a
-well-formed list, and only a list it cannot take is scanned row by row,
-to name the first bad row.
+number, so a document gives one window, or one error, whichever reading
+takes it. The whole-document reading converts the point list with one
+numpy call, and only a list it cannot take is scanned row by row, to name
+the first bad row.
 
 Both formats are written from one rendering of the rows
 (``_render_rows``): orjson formats the float64 array in blocks of
@@ -53,6 +64,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from typing import IO, Union
 
 import numpy as np
@@ -111,6 +123,18 @@ def _canonical_order(pts: np.ndarray) -> np.ndarray:
     return order
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=1) bit for bit, with one temporary of one
+    column: the same left-to-right sum of squares, which numpy's row
+    reduction uses for fewer than 8 columns (it sums pairwise from 8)."""
+    if v.shape[1] >= 8:
+        return np.linalg.norm(v, axis=1)
+    s = v[:, 0] * v[:, 0]
+    for k in range(1, v.shape[1]):
+        s += v[:, k] * v[:, k]
+    return np.sqrt(s, out=s)
+
+
 class WindowedSet:
     """Finite point set in R^p restricted to a ball about the origin.
 
@@ -161,14 +185,13 @@ class WindowedSet:
         self.label = label
 
         with np.errstate(over="ignore"):  # inf fails the radius check
-            norms = np.linalg.norm(pts, axis=1) if len(pts) else np.zeros(0)
+            norms = _row_norms(pts) if len(pts) else np.zeros(0)
             # squares past the float range: such a row alone is scaled by
             # its largest coordinate, so no other norm changes a bit
             big = np.flatnonzero(np.isinf(norms))
             if len(big):
                 top = np.abs(pts[big]).max(axis=1)
-                norms[big] = top * np.linalg.norm(pts[big] / top[:, None],
-                                                  axis=1)
+                norms[big] = top * _row_norms(pts[big] / top[:, None])
         norms.flags.writeable = False
         self._norms = norms
 
@@ -380,8 +403,31 @@ _SCAN_BLOCK = 1 << 18
 _NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
 
 
+#: Characters per block of the block reader (``_json_blocks``): a block's
+#: text, its row lists and their array stay in cache while they are made.
+_ROWS_BLOCK = 1 << 15
+#: The ``points`` key and the opening bracket of its list.
+_POINTS_KEY = re.compile(r'"points"[ \t\n\r]*:[ \t\n\r]*\[')
+#: The last row's closing bracket and the list's, JSON whitespace between.
+_LIST_END = re.compile(r'\][ \t\n\r]*\]')
+
+
 def _load_json(text: str) -> WindowedSet:
     """The window of a JSON document.
+
+    The block reader (``_json_blocks``) reads a document whose point list
+    is flat rows of numbers and whose text outside the list orjson takes.
+    Any other document, and any it has a doubt about, is read whole by
+    ``_json_document``, the only reading that raises.
+    """
+    fields = _json_blocks(text)
+    if fields is None:
+        fields = _json_document(text)
+    return WindowedSet(*fields)
+
+
+def _json_document(text: str):
+    """(points, radius, label) of a JSON document read whole.
 
     A document nested deeper than ``_MAX_DEPTH`` is refused, measured on
     the text before either parser sees it. orjson reads the rest; one it
@@ -411,8 +457,78 @@ def _load_json(text: str) -> WindowedSet:
     if dim is not None and (isinstance(dim, bool) or not isinstance(dim, int)
                             or not 1 <= dim < 2**63):
         raise ParseError("'dim' must be an integer from 1 to 2**63 - 1")
-    return WindowedSet(_json_rows(raw, dim), obj.get("radius"),
-                       obj.get("label", ""))
+    return _json_rows(raw, dim), obj.get("radius"), obj.get("label", "")
+
+
+def _json_blocks(text: str):
+    """(points, radius, label) of a JSON document read block by block, the
+    values ``_json_document`` gives; None where that is not certain.
+
+    The first ``"points": [`` opens the list. Its rows are read in blocks
+    of about ``_ROWS_BLOCK`` characters, each cut just after a row's
+    ``],``. orjson reads a block only once its brackets and quotes are
+    ``[]`` repeated (``_flat_rows``): rows of scalars, two levels deep.
+    Each block must give a 2-D numeric array of one width. A block that is
+    not flat rows, or the rest of the text when no ``],`` follows, holds
+    the list's end: the first ``]`` followed, past JSON whitespace, by
+    another. The last block ends there. The text outside the list, with
+    ``0`` and then ``1`` in its place, is checked by ``_nesting_depth``,
+    then read by orjson, and ``points`` must read 0 and then 1: so the list
+    is the value of the last top-level ``points`` key, the document is
+    valid JSON, at most ``_MAX_DEPTH`` deep, and orjson would read it to
+    the same values. ``dim``, ``radius`` and ``label`` come from that
+    reading; ``dim`` must be absent or the rows' width. The blocks'
+    numbers convert to float64 as the whole list's would: a Python int or
+    bool and a numpy integer or bool give the same correctly rounded float.
+    """
+    key = _POINTS_KEY.search(text)
+    if key is None:
+        return None
+    arrays, pos, end = [], key.end(), None
+    while end is None:
+        cut = text.find("],", pos + _ROWS_BLOCK)
+        block = text[pos:cut + 1]
+        if cut < 0 or not _flat_rows(block):
+            end = _LIST_END.search(text, pos)
+            if end is None:
+                return None
+            block = text[pos:end.start() + 1]
+            if not _flat_rows(block):
+                return None
+        try:
+            rows = np.array(orjson.loads(f"[{block}]"))
+        except ValueError:  # not JSON; ragged rows
+            return None
+        if rows.ndim != 2 or rows.dtype.kind not in "biuf":
+            return None
+        arrays.append(rows)
+        pos = cut + 2
+
+    head, tail = text[:key.end() - 1], text[end.end():]
+    if _nesting_depth(f"{head} 0 {tail}") > _MAX_DEPTH:
+        return None
+    try:
+        obj, other = [orjson.loads(f"{head} {v} {tail}") for v in (0, 1)]
+    except orjson.JSONDecodeError:
+        return None
+    if not (isinstance(obj, dict) and isinstance(other, dict)
+            and (obj.get("points"), other.get("points")) == (0, 1)):
+        return None
+    width = arrays[0].shape[1]
+    dim = obj.get("dim")
+    if (any(rows.shape[1] != width for rows in arrays) or width < 1
+            or dim is not None and not (type(dim) is int and dim == width)):
+        return None
+    return (np.concatenate(arrays, dtype=np.float64), obj.get("radius"),
+            obj.get("label", ""))
+
+
+def _flat_rows(block: str) -> bool:
+    """Whether the brackets and quotes of block are ``[]`` repeated, the
+    nesting scan's cut (``bytes.translate``) of rows of scalars."""
+    marks = block.encode("utf-8", "surrogatepass").translate(
+        None, _NOT_STRUCTURE)
+    return marks == b"[]" * (len(marks) // 2)
 
 
 def _nesting_depth(text: str) -> int:

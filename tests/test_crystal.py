@@ -56,11 +56,10 @@ from idealcrystal.crystal import (
     _coord_bounds,
     _count_targets,
     _lattice_points,
-    _row_norms,
     _ulp_widened,
 )
 from idealcrystal.geometry import difference_vectors
-from idealcrystal.pointset import TOL_EQ
+from idealcrystal.pointset import TOL_EQ, _row_norms
 from oracles import residues_by_coset_loop
 
 

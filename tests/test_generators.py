@@ -269,6 +269,8 @@ def test_poisson_argument_validation():
     # numpy's default_rng raises ValueError and TypeError for these
     lambda: gen_poisson(1.0, 5.0, -1),
     lambda: gen_poisson(1.0, 5.0, 1.5),
+    # True would draw seed 1 and label the window seed=True
+    lambda: gen_poisson(1.0, 5.0, True),
     # numpy raises TypeError for a float dim; True is no dimension either
     lambda: gen_poisson(1.0, 5.0, 0, 2.5),
     lambda: gen_poisson(1.0, 5.0, 0, True),
@@ -288,7 +290,8 @@ def test_poisson_argument_validation():
         "poisson-inf-intensity", "poisson-inf-radius", "poisson-huge-mean-1d",
         "poisson-huge-mean-2d", "poisson-past-array-size-1d",
         "poisson-past-array-size-3d", "cut-project-past-array-size",
-        "poisson-negative-seed", "poisson-float-seed", "poisson-float-dim",
+        "poisson-negative-seed", "poisson-float-seed", "poisson-bool-seed",
+        "poisson-float-dim",
         "poisson-bool-dim", "crystal-nan-basis",
         "crystal-inf-basis", "perturbed-nan-basis", "crystal-det-overflow",
         "crystal-inverse-overflow"])

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,12 +36,15 @@ from idealcrystal import (
 )
 from idealcrystal.pointset import (
     _MAX_DEPTH,
+    _ROWS_BLOCK,
     _SCAN_BLOCK,
     TOL_EQ,
     _BLOCK_ROWS,
     _canonical_order,
+    _json_blocks,
     _json_rows,
     _nesting_depth,
+    _row_norms,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -488,6 +492,25 @@ def test_scaled_norms_leave_ordinary_rows_alone():
         [np.sqrt(10.0**2 + 3.0**2 + 0.2**2) * 1e159, 1e300], rel=1e-15)
 
 
+@pytest.mark.parametrize("p", range(1, 10))
+def test_row_norms_match_numpy_past_the_square_range(p):
+    # every seventh row is past 1e154, where the squares overflow: both
+    # sums read inf there, and the window scales those rows alone
+    rng = np.random.default_rng(40 + p)
+    v = rng.normal(size=(400, p)) * 10.0 ** rng.uniform(-6, 6, (400, p))
+    v[::7] = rng.normal(size=(len(v[::7]), p)) * 1e160
+    with np.errstate(over="ignore"):
+        want = np.linalg.norm(v, axis=1)
+        assert _row_norms(v).tobytes() == want.tobytes()
+        assert np.isinf(want).sum() == len(v[::7])
+        S = WindowedSet(v)
+        want = np.linalg.norm(S.points, axis=1)
+    big = np.isinf(want)
+    top = np.abs(S.points[big]).max(axis=1)
+    want[big] = top * np.linalg.norm(S.points[big] / top[:, None], axis=1)
+    assert S.norms().tobytes() == want.tobytes()
+
+
 def test_non_utf8_input_is_a_parse_error():
     import io
 
@@ -836,15 +859,21 @@ def _reader_outcome(text):
 
 
 def _assert_same_outcome(text):
-    want, got = _stdlib_outcome(text), _reader_outcome(text)
-    if isinstance(want, tuple):
-        assert got == want
-    else:
-        assert isinstance(got, WindowedSet), got
-        assert got.points.tobytes() == want.points.tobytes()
-        assert got.points.shape == want.points.shape
-        assert struct.pack("<d", got.radius) == struct.pack("<d", want.radius)
-        assert got.label == want.label
+    # at the default block size, and at one that cuts after every row, so
+    # that small documents span many blocks
+    want = _stdlib_outcome(text)
+    for block in (_ROWS_BLOCK, 1):
+        with mock.patch("idealcrystal.pointset._ROWS_BLOCK", block):
+            got = _reader_outcome(text)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert isinstance(got, WindowedSet), got
+            assert got.points.tobytes() == want.points.tobytes()
+            assert got.points.shape == want.points.shape
+            assert (struct.pack("<d", got.radius)
+                    == struct.pack("<d", want.radius))
+            assert got.label == want.label
 
 
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
@@ -937,6 +966,13 @@ def _json_documents(draw):
     return "{%s}" % ", ".join(f"{json.dumps(k)}: {v}" for k, v in pairs)
 
 
+_LAYOUT_DOC = {"dim": 2, "radius": 9.5, "label": "layout",
+               "points": [[1.0, -2.5], [3, 4e-7], [-0.0, 5.25], [7.5, 1e16]],
+               "generator": {"basis": [[1.0, 0.0], [0.0, 1.0]]}}
+_COMPACT = json.dumps(_LAYOUT_DOC, separators=(",", ":"))
+_INDENTED = json.dumps(_LAYOUT_DOC, indent=2)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_json_documents())
 @example('{"points": [[1.0, -0.0], [5e-324, 2.5]], "label": "x"}')
@@ -949,6 +985,26 @@ def _json_documents(draw):
 @example('{"points": [[1.0]], "label": null, "radius": %d}' % 10**400)
 @example('{"x": %s, "x": 1, "points": [[1.0]]}' % _nested(32, ("[", "]")))
 @example('{"points": [[1.0]], "x": %s}' % _nested(31, ('{"a": ', "}")))
+@example(_COMPACT)
+@example(_INDENTED)
+@example('{"points": [[1.0], [2.5]], "generator": {"b": [[1], [2]], "s": "]], "}}')
+@example('{"points": [[1.0], [2.5]], "generator": [[[1], [2]]]}')
+@example('{"g": {"points": [[9.0], [8.0]]}, "points": [[1.0], [2.5]]}')
+@example('{"points": [[9.0], [8.0]], "points": [[1.0], [2.5]]}')
+@example('{"g": {"points": [[9.0], [8.0]]}, "points": 0}')
+@example('{"points": [[1.0], [2.5]], "x": {"points": [[9.0]]}}')
+@example('{"x": %s, "points": [[1.0], [2.5]]}' % _nested(300_000, ("[", "]")))
+@example('{"points": [[1.0], [2.5]], "x": %s}' % _nested(300_000, ('{"a": ', "}")))
+@example('{"points": [[1.0, 2.0], [3.0, 4.0], [5.0]]}')
+@example('{"points": [[1.0, 2.0], [3.0, 4.0], [5.0, NaN]]}')
+@example('{"points": [[1.0, 2.0], [3.0, 4.0], [5.0, null]], "dim": 2}')
+@example('{"points": [[1.0], [2.0], [[3.0]]]}')
+@example('{"points": [[1.0], [2.0]] , "dim": 1\f}')
+@example('{"points": [[1.0], [2.0]\f]}')
+@example('{"points": [], "generator": [[1.0], [2.0]]}')
+@example('{"points": [[], []], "dim": 0}')
+@example('{"points": [[1, 2], [3, 4]], "dim": 2.0}')
+@example('{"points": [[true, 2], [3, %d]], "dim": true}' % (2**64 - 1))
 def test_json_reader_matches_the_standard_library(text):
     # the same window bit for bit, or the same error type and message
     _assert_same_outcome(text)
@@ -1008,6 +1064,45 @@ def test_json_reader_matches_the_standard_library_on_files():
         text = serialize(S, "json", metadata=meta)
         _assert_same_outcome(text)
         assert load_points(text, "json").equals(S)
+
+
+@pytest.mark.parametrize("layout", ["serialize", "compact", "indented"])
+def test_block_reader_takes_the_written_layouts(layout):
+    # serialize's output and json.dumps' two layouts, with a generator
+    # record holding "]]" and "]," after the points, are read in blocks,
+    # not by the whole-document fallback
+    rng = np.random.default_rng(11)
+    S = WindowedSet(rng.normal(size=(3000, 3)) * 10.0, 100.0, label="blocks")
+    text = serialize(S, "json", metadata={"basis": [[1.0, 0.0], [0.0, 1.0]]})
+    if layout != "serialize":
+        doc = json.loads(text)
+        text = (json.dumps(doc, separators=(",", ":")) if layout == "compact"
+                else json.dumps(doc, indent=2))
+    assert len(text) > 4 * _ROWS_BLOCK
+    for block in (_ROWS_BLOCK, 1):
+        with mock.patch("idealcrystal.pointset._ROWS_BLOCK", block):
+            fields = _json_blocks(text)
+        assert fields is not None
+        assert WindowedSet(*fields).equals(S)
+
+
+@pytest.mark.parametrize("row, error", [
+    ("[1.0, 2.0]", DimensionMismatch), ("[NaN, 1.0, 2.0]", ParseError),
+    ("[1.0, null, 2.0]", ParseError), ('[1.0, "2", 3.0]', ParseError),
+    ("[[1.0], 2.0, 3.0]", ParseError),
+], ids=["ragged", "nan", "null", "string", "nested"])
+def test_bad_row_in_a_later_block_goes_to_the_whole_document(row, error):
+    rng = np.random.default_rng(12)
+    S = WindowedSet(rng.normal(size=(3000, 3)) * 10.0, 100.0)
+    text = serialize(S, "json")
+    cut = text.rindex("], [") + 3
+    text = text[:cut] + row + text[text.index("]", cut) + 1:]
+    assert cut > 4 * _ROWS_BLOCK
+    assert _json_blocks(text) is None
+    with pytest.raises(error) as exc:
+        load_points(text, "json")
+    assert type(exc.value) is error
+    _assert_same_outcome(text)
 
 
 def test_json_lone_surrogate_label_roundtrips():
