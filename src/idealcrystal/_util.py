@@ -6,6 +6,8 @@ import contextlib
 import gc
 import math
 
+import numpy as np
+
 from .errors import ConfigError
 
 
@@ -15,6 +17,17 @@ def finite_positive(name: str, value) -> float:
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"{name} must be finite and positive, got {value:g}")
     return value
+
+
+def check_array_size(rows: int, row_bytes: int, what: str) -> None:
+    """ConfigError when an array of rows rows of row_bytes bytes each is
+    past the largest size numpy can make, ``np.intp`` bytes. A smaller one
+    can still exhaust memory, and a MemoryError tells the caller so."""
+    if rows * row_bytes > np.iinfo(np.intp).max:
+        raise ConfigError(
+            f"{what} needs an array of {rows} rows of {row_bytes} bytes, "
+            "past the largest array numpy can make"
+        )
 
 
 @contextlib.contextmanager

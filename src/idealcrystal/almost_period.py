@@ -74,7 +74,6 @@ class Period:
     T: np.ndarray
     verified_radius: float
     anchor: np.ndarray
-    source_tau: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -263,7 +262,7 @@ def snap_to_period(
             f"snapped vector fails exact verification at point "
             f"{outcome.point.tolist()} (residual {outcome.distance:.3e})"
         )
-    return Period(_frozen(T), float(outcome), _frozen(a), _frozen(tau))
+    return Period(_frozen(T), float(outcome), _frozen(a))
 
 
 def verify_exact_period(S: WindowedSet, T, tol_exact: float = TOL_EXACT):

@@ -25,6 +25,7 @@ from .almost_period import (
     _frozen,
     verify_exact_period,
 )
+from ._util import check_array_size
 from .config import RunConfig
 from .errors import (ConfigError, DegenerateGap, MarginTooLarge,
                      SingularBasis, TooFewPoints, WindowTooSmall)
@@ -287,9 +288,17 @@ def refine_lattice(L: Lattice, periods) -> Lattice:
 
 
 def _coord_bounds(inv: np.ndarray, radius: float) -> list[int]:
-    """Per-axis bound b_i with |n_i| < b_i for every n B inside the ball."""
-    return [int(np.floor(radius * np.linalg.norm(inv[:, i]))) + 1
-            for i in range(inv.shape[1])]
+    """Per-axis bound b_i with |n_i| < b_i for every n B inside the ball;
+    ConfigError when one passes 2^62, short of the int64 range that the
+    enumeration casts its rows to."""
+    with np.errstate(over="ignore"):  # inf fails the bound
+        reach = [radius * np.linalg.norm(inv[:, i])
+                 for i in range(inv.shape[1])]
+    if not all(r < 2.0**62 for r in reach):
+        raise ConfigError(
+            f"radius {radius:g} needs lattice coordinates past int64"
+        )
+    return [int(np.floor(r)) + 1 for r in reach]
 
 
 def _ulp_widened(radius: float) -> float:
@@ -313,6 +322,7 @@ def _column_intervals(basis: np.ndarray, inv: np.ndarray, radius: float,
     p = basis.shape[0]
     bounds = _coord_bounds(inv, radius)
     widths = [2 * b + 1 for b in bounds[:-1]]
+    check_array_size(math.prod(widths), 8 * (p - 1), f"radius {radius:g}")
     cols = np.indices(widths).reshape(p - 1, math.prod(widths)).T - bounds[:-1]
     u = cols @ basis[:-1] + f
     last = basis[-1]
@@ -335,12 +345,15 @@ def _lattice_points(basis: np.ndarray, inv: np.ndarray, radius: float):
     Each column's interval (_column_intervals, widened by one) holds every
     such point, so the norm test on t then keeps exactly the rows of a scan
     of the whole _coord_bounds box. t is one product over all rows, so its
-    bits do not depend on how the rows are grouped.
+    bits do not depend on how the rows are grouped. A ball whose coordinate
+    bounds pass 2^62, or whose column or row array would pass the largest
+    array numpy can make, raises ConfigError.
     """
     p = basis.shape[0]
     rho = radius + TOL_EQ
     cols, lo, count = _column_intervals(basis, inv, radius, 0.0, rho, 1)
     m = int(count.sum())
+    check_array_size(m, 8 * p, f"radius {radius:g}")
     n = np.empty((m, p), dtype=np.int64)
     n[:, :-1] = np.repeat(cols, count, axis=0)
     start = np.cumsum(count) - count
@@ -862,8 +875,7 @@ def _run_ladder(S: WindowedSet, cfg: RunConfig, eps: float, r_min: float,
             if isinstance(outcome, FailureWitness):
                 continue
             T = _frozen(cands[i])
-            periods.append(Period(T=T, verified_radius=outcome,
-                                  anchor=anchor, source_tau=T))
+            periods.append(Period(T=T, verified_radius=outcome, anchor=anchor))
             missing &= ~cone[:, i]
             if lattice is not None:
                 lattice = refine_lattice(lattice, periods[-1:])

@@ -15,8 +15,8 @@ radius or intensity that is not finite and positive, a non-finite basis,
 slope, interval, frequency or residue, lattice coordinates past int64, a
 Poisson seed that is not an integer >= 0 or dim that is not one >= 1 (a
 bool is neither), a Poisson mean numpy cannot draw and an array past the
-largest size numpy can make (``_check_array_size``), which numpy would
-refuse with a ValueError of its own.
+largest size numpy can make (``_util.check_array_size``), which numpy
+would refuse with a ValueError of its own.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._util import finite_positive
+from ._util import check_array_size, finite_positive
 from .crystal import (COORD_TOL, _lattice_points, _same_coset, _ulp_widened,
                       build_lattice)
 from .errors import (
@@ -40,30 +40,6 @@ from .pointset import TOL_EQ, WindowedSet, _row_norms
 #: The generators refuse a basis with |det| <= _DET_FLOOR * prod |B_j|, a
 #: looser floor than build_lattice's default.
 _DET_FLOOR = 1e-9
-
-
-def _check_array_size(rows: int, row_bytes: int, what: str) -> None:
-    """ConfigError when an array of rows rows of row_bytes bytes each is
-    past the largest size numpy can make, ``np.intp`` bytes. A smaller one
-    can still exhaust memory, and a MemoryError tells the caller so."""
-    if rows * row_bytes > np.iinfo(np.intp).max:
-        raise ConfigError(
-            f"{what} needs an array of {rows} rows of {row_bytes} bytes, "
-            "past the largest array numpy can make"
-        )
-
-
-def _ball_points(B: np.ndarray, inv: np.ndarray, radius: float):
-    """_lattice_points of the ball |t| <= radius; ConfigError when one of
-    its coordinate bounds (crystal._coord_bounds) passes 2^62, short of the
-    int64 range that the enumeration casts its rows to."""
-    with np.errstate(over="ignore"):  # inf fails the bound
-        bound = radius * float(np.linalg.norm(inv, axis=0).max())
-    if not bound < 2.0**62:
-        raise ConfigError(
-            f"radius {radius:g} needs lattice coordinates past int64"
-        )
-    return _lattice_points(B, inv, radius)
 
 
 def gen_ideal_crystal(basis, F, R: float, label: str = "") -> WindowedSet:
@@ -95,7 +71,7 @@ def gen_ideal_crystal(basis, F, R: float, label: str = "") -> WindowedSet:
             )
 
     max_f = float(np.linalg.norm(F, axis=1).max())
-    t = _ball_points(B, inv, _ulp_widened(R + max_f))[1]
+    t = _lattice_points(B, inv, _ulp_widened(R + max_f))[1]
     pieces = []
     for f in F:
         pts = t + f
@@ -140,7 +116,7 @@ def gen_perturbed_lattice(basis, amplitude: float, freqs, R: float,
             )
     u = B[0] / np.linalg.norm(B[0])
 
-    n, t = _ball_points(B, inv, _ulp_widened(R + amplitude))
+    n, t = _lattice_points(B, inv, _ulp_widened(R + amplitude))
     pts = t + amplitude * np.sin(2 * np.pi * (n @ freqs))[:, None] * u
     points = pts.compress(np.linalg.norm(pts, axis=1) <= R + TOL_EQ, axis=0)
     return WindowedSet(points, R, label or f"perturbed(amp={amplitude:g})")
@@ -164,7 +140,7 @@ def gen_cut_and_project(slope: float, window, R: float,
 
     span = max(abs(lo), abs(hi))
     M = int(np.ceil((R + abs(slope) * span) / (1 + slope * slope))) + 3
-    _check_array_size(2 * M + 1, 8, f"radius {R:g}")
+    check_array_size(2 * M + 1, 8, f"radius {R:g}")
     m = np.arange(-M, M + 1)
     y = m * slope
     # integers n with lo <= y - n < hi, i.e. y - hi < n <= y - lo
@@ -215,8 +191,8 @@ def gen_poisson(intensity: float, R: float, seed: int, dim: int = 1,
             f"ball of radius {R:g} in dimension {dim}: {e}"
         ) from None
     # each round draws twice the points still missing
-    _check_array_size(max(2 * count, 16), 8 * dim,
-                      f"a Poisson count of {count} points")
+    check_array_size(max(2 * count, 16), 8 * dim,
+                     f"a Poisson count of {count} points")
     pts = np.zeros((0, dim))
     while len(pts) < count:
         need = count - len(pts)

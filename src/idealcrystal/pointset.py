@@ -15,30 +15,22 @@ that sweep cannot separate. The nearest-neighbour distance of every point
 (``nn_distances``, behind ``min_separation``) is computed only when asked
 for; a non-finite radius is refused.
 
-JSON text is parsed by orjson, whose correctly rounded number parser
-gives the floats the standard library's ``json`` gives, several times
-faster. A point file as ``serialize`` or ``json.dumps`` writes it is read
-in blocks (``_json_blocks``): the rows of the ``points`` list, about
+A JSON point file is read by the standard library's ``json``, with one
+exception. A file as ``serialize`` or ``json.dumps`` writes it is read in
+blocks (``_json_blocks``): the rows of the ``points`` list, about
 ``_ROWS_BLOCK`` characters at a time, each cut after a row's ``],``, go to
 orjson and numpy one block at a time, so no Python object tree of the
-whole list is ever built. orjson sees a block only once its brackets and
-quotes are ``[]`` repeated: rows of scalars, two levels deep. Each block
-must give a 2-D numeric array of the window's width. The text outside the
-list is read twice, with ``0`` and then ``1`` in the list's place, and
-``points`` must read 0 and then 1: so the blocks are exactly the value of
-the last top-level ``points`` key, and the document is valid JSON, which
-the whole-document reading turns into the same window. Any other document,
-and any the block reader doubts, is read whole (``_json_document``), the
-only reading that raises: a document nested deeper than ``_MAX_DEPTH`` is
-refused before any parser sees it (measured on the text, as orjson's
-recursion has no limit); one orjson refuses is read by ``json.loads``,
-which also takes NaN, Infinity, integers past the float range and lone
-surrogates. ``dim`` is an integer from 1 to 2**63 - 1; the label and the
-radius are checked by ``WindowedSet`` alone, as a ``str`` and a real
-number, so a document gives one window, or one error, whichever reading
-takes it. The whole-document reading converts the point list with one
-numpy call, and only a list it cannot take is scanned row by row, to name
-the first bad row.
+whole list is ever built. orjson sees only such a block, flat rows of
+numbers; ``json`` reads the text outside the list. Any other document,
+and any the block reader doubts (a ragged, NaN or ``null`` row, a number
+past the float range, a ``points`` key inside another value before the
+top-level one), is read whole by ``json`` (``_json_document``) and its
+rows converted one by one (``_json_rows``), the only reading that raises.
+No text nested deeper than ``_MAX_DEPTH`` reaches ``json``, so a document
+gives one window, or one error, whichever reading takes it and whatever
+stack reads it. ``dim`` is an integer from 1 to 2**63 - 1; the label and
+the radius are checked by ``WindowedSet`` alone, as a ``str`` and a real
+number.
 
 Both formats are written from one rendering of the rows
 (``_render_rows``): orjson formats the float64 array in blocks of
@@ -391,14 +383,10 @@ def _load_csv(text: str) -> WindowedSet:
     return WindowedSet(np.array(rows, dtype=np.float64), label=label)
 
 
-#: The deepest nesting a JSON point file may have. orjson 3.8 converts a
-#: document to Python objects by recursion without a limit, so nesting tens
-#: of thousands of levels deep overflows the C stack; json.loads refuses
+#: The deepest nesting a JSON point file may have. json.loads refuses
 #: nesting past the interpreter's remaining recursion depth, which depends
-#: on the caller. Below this limit neither happens.
+#: on the caller; below this limit that never happens.
 _MAX_DEPTH = 32
-#: Characters per block of the nesting scan: 256 KiB of ASCII text.
-_SCAN_BLOCK = 1 << 18
 #: Every byte but the brackets and the quote, deleted before the nesting scan.
 _NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
 
@@ -416,9 +404,9 @@ def _load_json(text: str) -> WindowedSet:
     """The window of a JSON document.
 
     The block reader (``_json_blocks``) reads a document whose point list
-    is flat rows of numbers and whose text outside the list orjson takes.
-    Any other document, and any it has a doubt about, is read whole by
-    ``_json_document``, the only reading that raises.
+    is flat rows of numbers. Any other document, and any it has a doubt
+    about, is read whole by ``_json_document``, the only reading that
+    raises.
     """
     fields = _json_blocks(text)
     if fields is None:
@@ -429,25 +417,20 @@ def _load_json(text: str) -> WindowedSet:
 def _json_document(text: str):
     """(points, radius, label) of a JSON document read whole.
 
-    A document nested deeper than ``_MAX_DEPTH`` is refused, measured on
-    the text before either parser sees it. orjson reads the rest; one it
-    refuses (NaN, Infinity, integers past the float range, lone
-    surrogates) is read by ``json.loads``. orjson reads an integer outside
-    the int64 and uint64 ranges as the float json rounds it to, so the
-    readings part only in types that the field checks refuse either way:
-    ``dim`` must be an int from 1 to 2**63 - 1, and ``WindowedSet`` takes
-    only a ``str`` label and a real radius. Every document thus gives one
-    window, or one error type and message, whichever parser read it.
+    The documents that come here are those the block reader doubts: a
+    ragged, NaN, ``null`` or nested row or a number past the float range,
+    a ``points`` key inside another value before the top-level one,
+    nesting past ``_MAX_DEPTH``, or no valid JSON at all. A document
+    nested deeper than ``_MAX_DEPTH`` is refused, measured on the text
+    before ``json.loads`` sees it; the rest is read by ``json.loads`` and
+    its rows by ``_json_rows``, which names the first bad row.
     """
     if _nesting_depth(text) > _MAX_DEPTH:
         raise ParseError(f"JSON nested deeper than {_MAX_DEPTH} levels")
     try:
-        obj = orjson.loads(text)
-    except orjson.JSONDecodeError:
-        try:
-            obj = json.loads(text)
-        except ValueError as e:  # JSONDecodeError, the int-digit limit
-            raise ParseError(f"invalid JSON: {e}")
+        obj = json.loads(text)
+    except ValueError as e:  # JSONDecodeError, the int-digit limit
+        raise ParseError(f"invalid JSON: {e}")
     if not isinstance(obj, dict) or "points" not in obj:
         raise ParseError("JSON point set must be an object with a 'points' key")
     raw = obj["points"]
@@ -473,13 +456,20 @@ def _json_blocks(text: str):
     the list's end: the first ``]`` followed, past JSON whitespace, by
     another. The last block ends there. The text outside the list, with
     ``0`` and then ``1`` in its place, is checked by ``_nesting_depth``,
-    then read by orjson, and ``points`` must read 0 and then 1: so the list
-    is the value of the last top-level ``points`` key, the document is
-    valid JSON, at most ``_MAX_DEPTH`` deep, and orjson would read it to
-    the same values. ``dim``, ``radius`` and ``label`` come from that
-    reading; ``dim`` must be absent or the rows' width. The blocks'
-    numbers convert to float64 as the whole list's would: a Python int or
-    bool and a numpy integer or bool give the same correctly rounded float.
+    then read by ``json.loads``, and ``points`` must read 0 and then 1: so
+    the list is the value of the last top-level ``points`` key and the
+    document is valid JSON, at most ``_MAX_DEPTH`` deep. ``dim``,
+    ``radius`` and ``label`` come from that reading; ``dim`` must be
+    absent or the rows' width.
+
+    Only in the blocks' numbers could orjson and ``json`` part. orjson
+    reads a float to the correctly rounded double ``json`` gives; it
+    refuses NaN, Infinity and a number past the float range, which leaves
+    the document to the whole reading; it reads an integer outside the
+    int64 and uint64 ranges as the float ``json``'s int rounds to. numpy
+    converts a block's ints and bools to float64 as ``float`` converts
+    ``json``'s, so the blocks give the rows ``_json_rows`` gives, bit for
+    bit.
     """
     key = _POINTS_KEY.search(text)
     if key is None:
@@ -508,8 +498,8 @@ def _json_blocks(text: str):
     if _nesting_depth(f"{head} 0 {tail}") > _MAX_DEPTH:
         return None
     try:
-        obj, other = [orjson.loads(f"{head} {v} {tail}") for v in (0, 1)]
-    except orjson.JSONDecodeError:
+        obj, other = [json.loads(f"{head} {v} {tail}") for v in (0, 1)]
+    except ValueError:  # JSONDecodeError, the int-digit limit
         return None
     if not (isinstance(obj, dict) and isinstance(other, dict)
             and (obj.get("points"), other.get("points")) == (0, 1)):
@@ -533,21 +523,19 @@ def _flat_rows(block: str) -> bool:
 
 def _nesting_depth(text: str) -> int:
     """How deep the lists and objects of JSON text nest, exact for valid
-    JSON whatever its strings hold. (orjson converts only a document it
-    has validated, so an invalid one cannot overflow its stack.)
+    JSON whatever its strings hold. On invalid text it is exact up to the
+    first error, the only part json.loads descends into.
 
     Escaped backslashes and quotes are dropped first, so every quote left
-    opens or closes a string. Each block of the text is then cut down to
-    its brackets and quotes (``bytes.translate``, one pass in C), and the
-    depth is the running count of opening less closing brackets outside
-    strings over that far shorter sequence.
+    opens or closes a string. The text is then cut down to its brackets
+    and quotes (``bytes.translate``, one pass in C), and the depth is the
+    running count of opening less closing brackets outside strings over
+    that far shorter sequence.
     """
     if "\\" in text:
         text = text.replace("\\\\", "").replace('\\"', "")
-    marks = np.frombuffer(b"".join(
-        text[start:start + _SCAN_BLOCK].encode("utf-8", "surrogatepass")
-        .translate(None, _NOT_STRUCTURE)
-        for start in range(0, len(text), _SCAN_BLOCK)), dtype=np.uint8)
+    marks = np.frombuffer(text.encode("utf-8", "surrogatepass").translate(
+        None, _NOT_STRUCTURE), dtype=np.uint8)
     outside = np.cumsum(marks == ord('"')) % 2 == 0
     opening = (marks == ord("[")) | (marks == ord("{"))
     closing = (marks == ord("]")) | (marks == ord("}"))
@@ -557,20 +545,11 @@ def _nesting_depth(text: str) -> int:
 
 
 def _json_rows(raw: list, dim: int | None) -> np.ndarray:
-    """The JSON point list as an (n, dim) float64 array.
-
-    A rectangular list of numbers converts in one numpy call. Anything
-    else (ragged or nested rows, non-numbers, integers numpy keeps as
-    Python objects) is scanned row by row, which names the first bad row
-    or converts each coordinate with ``float``.
+    """The JSON point list as an (n, dim) float64 array, scanned row by
+    row: the first row that is not a list of numbers, or not of the width
+    of ``dim`` or of the first row, is named; each coordinate is converted
+    with ``float``.
     """
-    try:
-        arr = np.array(raw)
-    except ValueError:  # ragged or too deeply nested
-        arr = None
-    if (arr is not None and arr.ndim == 2 and arr.dtype.kind in "biuf"
-            and dim in (None, arr.shape[1])):
-        return arr.astype(np.float64, copy=False)
     rows = []
     for i, row in enumerate(raw):
         if not isinstance(row, list) or not all(

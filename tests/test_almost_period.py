@@ -432,7 +432,6 @@ def test_snap_recovers_integer_period():
     P = snap_to_period(S, [1.1], 0.3)
     assert P.T.tolist() == [1.0]
     assert P.anchor.tolist() == [0.0]
-    assert P.source_tau.tolist() == [1.1]
     assert abs(P.verified_radius - (10.0 - 1.0 - 1e-8)) < 1e-12
 
 

@@ -920,6 +920,13 @@ def test_verify_refuses_key_range_past_int64():
         verify_decomposition(S, build_lattice(np.eye(3)), [[0.0, 0.0, 0.0]])
 
 
+def test_verify_refuses_coordinates_past_int64():
+    # the coordinate bounds themselves pass int64 here, before any key
+    S = WindowedSet(np.zeros((1, 1)), 1e20)
+    with pytest.raises(ConfigError, match="int64"):
+        verify_decomposition(S, build_lattice([[1.0]]), [[0.0]])
+
+
 def test_verify_plane_at_small_scale():
     # the enumeration reaches R + max |f|, widened by ulps only: an absolute
     # pad of 1.0 would enumerate ~10^8 lattice points at scale 1e-4
@@ -1819,7 +1826,7 @@ def test_periods_are_the_snapped_anchor_differences(B, F, R, strategy,
     for P in dec.periods:
         scr = screens[int(np.searchsorted(radii, np.linalg.norm(P.T)))]
         want = snap_to_period(scr, P.T, dec.epsilon, TOL_EXACT)
-        for name in ("T", "anchor", "source_tau"):
+        for name in ("T", "anchor"):
             assert getattr(P, name).tobytes() == getattr(want, name).tobytes()
         assert P.verified_radius == want.verified_radius
 

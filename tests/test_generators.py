@@ -266,6 +266,8 @@ def test_poisson_argument_validation():
     lambda: gen_poisson(1e15, 1000.0, 1),
     lambda: gen_poisson(1e3, 1e5, 1, dim=3),
     lambda: gen_cut_and_project((1 + 5**0.5) / 2, (0.0, 1.0), 1e19),
+    lambda: gen_ideal_crystal([[1.0]], [[0.0]], 1e18),
+    lambda: gen_ideal_crystal(np.eye(3), [[0.0, 0.0, 0.0]], 1e9),
     # numpy's default_rng raises ValueError and TypeError for these
     lambda: gen_poisson(1.0, 5.0, -1),
     lambda: gen_poisson(1.0, 5.0, 1.5),
@@ -290,6 +292,7 @@ def test_poisson_argument_validation():
         "poisson-inf-intensity", "poisson-inf-radius", "poisson-huge-mean-1d",
         "poisson-huge-mean-2d", "poisson-past-array-size-1d",
         "poisson-past-array-size-3d", "cut-project-past-array-size",
+        "crystal-past-array-size-1d", "crystal-past-array-size-3d",
         "poisson-negative-seed", "poisson-float-seed", "poisson-bool-seed",
         "poisson-float-dim",
         "poisson-bool-dim", "crystal-nan-basis",

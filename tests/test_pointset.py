@@ -37,7 +37,6 @@ from idealcrystal import (
 from idealcrystal.pointset import (
     _MAX_DEPTH,
     _ROWS_BLOCK,
-    _SCAN_BLOCK,
     TOL_EQ,
     _BLOCK_ROWS,
     _canonical_order,
@@ -883,6 +882,30 @@ _EDGE_INTS = [2**53 - 1, 2**53 + 1, 2**63 - 1, 2**63 + 1, 2**64 - 1,
 _EDGE_INTS += [-n for n in _EDGE_INTS]
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3).flatmap(lambda p: st.lists(
+    st.lists(st.sampled_from(_EDGE_INTS + _EDGE_FLOATS + [True, False]),
+             min_size=p, max_size=p), min_size=1, max_size=4)),
+    st.booleans())
+@example([[2**64 - 1, -1]], False)
+@example([[True, 2**64 - 1], [2**63 + 1, False]], True)
+@example([[-(2**63) - 1, 2**64 - 1]], False)
+@example([[int("7" * 400), 1.0]], True)
+def test_row_scan_matches_numpy_conversion(raw, with_dim):
+    # the row scan converts the rows of the whole-document reading: a
+    # rectangular list of numbers gives the bits numpy's conversion gives
+    dim = len(raw[0]) if with_dim else None
+    try:
+        want = np.array(raw).astype(np.float64)
+    except OverflowError:  # an integer past the float range
+        with pytest.raises(ParseError, match="beyond the float range"):
+            _json_rows(raw, dim)
+        return
+    got = _json_rows(raw, dim)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def _float_of_bits(bits):
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
@@ -1013,16 +1036,16 @@ def test_json_reader_matches_the_standard_library(text):
 @pytest.mark.parametrize("brackets", [("[", "]"), ('{"a": ', "}")],
                          ids=["lists", "objects"])
 def test_json_deep_nesting_is_refused_not_crashed(brackets):
-    # orjson converts by unbounded recursion: 3e5 levels overflow the C
-    # stack, so such a document must never reach it
+    # json.loads would refuse 3e5 levels with a RecursionError; the file
+    # format's limit refuses them, and far fewer, before it reads any
     text = '{"points": [[1.0]], "x": %s}' % _nested(300_000, brackets)
     with pytest.raises(ParseError, match=f"^{_TOO_DEEP}$"):
         load_points(text, "json")
 
 
 def test_json_invalid_deep_document_is_refused_not_crashed():
-    # the stray quote hides the nesting from the scan, and orjson, which
-    # validates the whole text before it converts any, refuses it
+    # the stray quote hides the nesting from the scan, and json.loads
+    # refuses the text at the x, before it descends into the nesting
     text = '[1, "a", x" %s]' % _nested(300_000, ("[", "]"))
     with pytest.raises(ParseError, match="invalid JSON"):
         load_points(text, "json")
@@ -1050,7 +1073,7 @@ _json_values = st.recursive(
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_json_values, st.booleans())
-@example(["a" * (_SCAN_BLOCK - 4) + '\\"]]}}', [[1]]], True)
+@example(["a" * (2**18 - 4) + '\\"]]}}', [[1]]], True)
 @example({"x": ']]]\\' * 3, "y": [{"z": "[[[\\\\"}]}, False)
 def test_nesting_depth_counts_brackets_outside_strings(value, ascii_only):
     text = json.dumps(value, ensure_ascii=ascii_only)
@@ -1066,15 +1089,20 @@ def test_json_reader_matches_the_standard_library_on_files():
         assert load_points(text, "json").equals(S)
 
 
-@pytest.mark.parametrize("layout", ["serialize", "compact", "indented"])
+@pytest.mark.parametrize("layout", ["serialize", "compact", "indented",
+                                    "surrogate-label", "nan-record"])
 def test_block_reader_takes_the_written_layouts(layout):
     # serialize's output and json.dumps' two layouts, with a generator
     # record holding "]]" and "]," after the points, are read in blocks,
-    # not by the whole-document fallback
+    # not by the whole-document fallback; so is serialize's output with a
+    # lone surrogate label or a NaN in the record, which only json reads
     rng = np.random.default_rng(11)
-    S = WindowedSet(rng.normal(size=(3000, 3)) * 10.0, 100.0, label="blocks")
-    text = serialize(S, "json", metadata={"basis": [[1.0, 0.0], [0.0, 1.0]]})
-    if layout != "serialize":
+    label = "\ud800" if layout == "surrogate-label" else "blocks"
+    S = WindowedSet(rng.normal(size=(3000, 3)) * 10.0, 100.0, label=label)
+    record = ({"x": float("nan")} if layout == "nan-record"
+              else {"basis": [[1.0, 0.0], [0.0, 1.0]]})
+    text = serialize(S, "json", metadata=record)
+    if layout in ("compact", "indented"):
         doc = json.loads(text)
         text = (json.dumps(doc, separators=(",", ":")) if layout == "compact"
                 else json.dumps(doc, indent=2))
